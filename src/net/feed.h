@@ -9,7 +9,7 @@
 // statistics (Update::cell — the PR 5 streaming-metric scalars, folded per
 // replicate) turn into a MetricDelta, the scheduling counters into a
 // ProgressDelta. The feed never touches sockets: it encodes each message
-// once and hands the shared payload to a FrameSink (net/server.h implements
+// once and hands the shared payload to a FrameSink (net/reactor.h implements
 // it over the connection table), which wraps it per subscriber with that
 // connection's own sequence number.
 //
@@ -93,7 +93,7 @@ class JobFeed final : public CampaignProgress {
   // Caller holds mutex_.
   void fan_out(const Message& m);
 
-  FrameSink* sink_;  // borrowed; the server outlives its feeds
+  FrameSink* sink_;  // borrowed; the server's reactor outlives its feeds
   const std::uint64_t job_id_;
   const std::uint64_t config_hash_;
   const std::uint64_t cells_total_;

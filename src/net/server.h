@@ -4,31 +4,28 @@
 //
 // ## Architecture
 //
-// One poll(2) thread owns every socket: it accepts connections, validates
-// hellos, parses frames incrementally from non-blocking reads, and is the
-// single-threaded command core — every SubmitJob and Subscribe is handled
-// on it, in arrival order, with no locking between commands. Execution is
-// elsewhere: an accepted job is one submit() onto the process-global
-// work-stealing TaskGraph (parallel/task_graph.h), whose body is a plain
-// run_campaign of the config built from the wire spec. The daemon adds no
-// scheduling of its own, which is why a daemon-submitted job's
-// CampaignResult rows are byte-identical to a batch CLI run of the same
-// spec (tests/daemon_feed_test.cpp and the CI smoke job both cmp this).
+// The daemon is a Handler on a Reactor (net/reactor.h), the one connection
+// core. on_message is the single-threaded command core: every SubmitJob,
+// Subscribe and CancelJob is handled on the poll thread in arrival order,
+// with no locking between commands. Execution is elsewhere: an accepted job
+// is one submit() onto the process-global work-stealing TaskGraph
+// (parallel/task_graph.h), whose body is a plain run_campaign of the config
+// built from the wire spec. The daemon adds no scheduling of its own, which
+// is why a daemon-submitted job's CampaignResult rows are byte-identical to
+// a batch CLI run of the same spec (tests/daemon_feed_test.cpp and the CI
+// smoke job both cmp this).
 //
-// Publishing crosses back: executor threads fold cells, the job's JobFeed
-// (net/feed.h) encodes deltas and calls the server's FrameSink, which
-// frames the payload with the target connection's sequence number, appends
-// it to that connection's bounded output queue, and opportunistically
-// flushes. Lock order is feed mutex -> io mutex, never the reverse: the
-// poll thread takes the io mutex only for queue flushes and connection
-// table edits, and handles commands holding neither.
+// Publishing crosses back: executor threads fold cells, and the job's
+// JobFeed (net/feed.h) hands each encoded delta straight to the reactor,
+// which frames it with the target connection's sequence number and queues
+// it. Lock order is feed mutex -> reactor io mutex, never the reverse.
 //
 // ## Backpressure
 //
 // The daemon never blocks on a client. A connection whose unsent backlog
-// exceeds DaemonOptions::max_queue_bytes is EVICTED: counted, closed, and
+// exceeds DaemonOptions::max_queue_bytes is EVICTED by the reactor and
 // dropped from every feed — the campaign and the other subscribers never
-// notice (tests/feed_stress_test.cpp pins this under TSan).
+// notice (tests/feed_stress_test.cpp pins this under the sanitizers in CI).
 #pragma once
 
 #include <atomic>
@@ -38,11 +35,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/feed.h"
 #include "net/protocol.h"
+#include "net/reactor.h"
 #include "sim/campaign.h"
 
 namespace antalloc {
@@ -73,10 +70,9 @@ struct DaemonOptions {
   // backlog surfaces in the user-space queue — how the stress test makes a
   // slow consumer hit max_queue_bytes with small payloads.
   int send_buffer_bytes = 0;
-  int listen_backlog = 16;
 };
 
-class DaemonServer final : public FrameSink {
+class DaemonServer final : private Reactor::Handler {
  public:
   explicit DaemonServer(DaemonOptions opts = {});
   ~DaemonServer() override;  // stop()
@@ -93,7 +89,7 @@ class DaemonServer final : public FrameSink {
   void stop();
 
   // The bound port (after start()).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return reactor_.port(); }
 
   struct Stats {
     std::uint64_t connections_accepted = 0;
@@ -103,48 +99,18 @@ class DaemonServer final : public FrameSink {
   };
   Stats stats() const;
 
-  // FrameSink: called by feeds from executor threads (and by the command
-  // core for replies). Frames the payload with the connection's next
-  // sequence number, queues, and flushes what the socket will take now.
-  Send send_message(std::uint64_t conn_id, MsgType type,
-                    std::span<const std::uint8_t> payload) override;
-
  private:
-  struct Connection;
   struct Job;
 
-  void poll_loop();
-  void accept_connections();
-  // Reads what is available, parses complete frames, dispatches commands.
-  // Returns false when the connection is done (EOF, damage, I/O error).
-  bool service_input(Connection& conn);
-  void handle_message(Connection& conn, const Message& m);
-  void handle_submit(Connection& conn, const SubmitJob& submit);
-  void handle_subscribe(Connection& conn, const Subscribe& sub);
-  void handle_cancel(Connection& conn, const CancelJob& cancel);
-  // Queue + flush one reply to `conn` (command-core side of send_message).
-  void reply(Connection& conn, const Message& m);
-  // Flushes conn's queue as far as the socket allows. Caller holds
-  // io_mutex_. Returns false when the socket failed (connection is dead).
-  bool flush_locked(Connection& conn);
-  void close_connection(std::uint64_t conn_id);
-  void wake_poll();
+  // Reactor::Handler: the command core (poll thread, no lock held).
+  void on_message(std::uint64_t conn_id, const Message& m) override;
+  void handle_submit(std::uint64_t conn_id, const SubmitJob& submit);
+  void handle_subscribe(std::uint64_t conn_id, const Subscribe& sub);
+  void handle_cancel(std::uint64_t conn_id, const CancelJob& cancel);
 
-  DaemonOptions opts_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  // self-pipe: [0] polled, [1] written
-  std::thread poll_thread_;
-  std::atomic<bool> running_{false};
+  // Declared first: it outlives the jobs whose feeds publish through it.
+  Reactor reactor_;
   std::atomic<bool> stopping_{false};
-
-  // Connection table. Structure (insert/erase) changes only on the poll
-  // thread, but send_message reads entries from executor threads, so every
-  // access — including per-connection queue and sequence state — holds
-  // io_mutex_.
-  mutable std::mutex io_mutex_;
-  std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
-  std::uint64_t next_conn_id_ = 1;
 
   // Job table: owned by the command core; feeds outlive their campaign so
   // late subscribers replay the final snapshot ("fetch").
@@ -155,7 +121,7 @@ class DaemonServer final : public FrameSink {
   std::condition_variable jobs_drained_;
 
   mutable std::mutex stats_mutex_;
-  Stats stats_;
+  Stats stats_;  // job counters; the connection counters live in reactor_
 };
 
 }  // namespace antalloc

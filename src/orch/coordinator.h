@@ -23,11 +23,11 @@
 //                      released and the unfinished cells return to pending
 //                      for the next LeaseRequest.
 //   straggler        — a lease older than max(min_deadline_ms,
-//                      straggler_factor × median lease time) expires on the
-//                      poll thread's sweep; the holder gets LeaseRevoked
-//                      (cooperative cancel at the next cell boundary) and
-//                      the cells are reissued. Late results still fold as
-//                      verified duplicates.
+//                      straggler_factor × median lease time) expires at
+//                      its deadline on the poll thread; the holder gets
+//                      LeaseRevoked (cooperative cancel at the next cell
+//                      boundary) and the cells are reissued. Late results
+//                      still fold as verified duplicates.
 //   coordinator crash — when CoordinatorOptions::journal_path is set,
 //                      every folded cell is appended (and flushed) to a
 //                      CellJournal before it is acknowledged to progress
@@ -37,19 +37,17 @@
 //
 // ## Architecture
 //
-// One poll(2) thread owns every socket, exactly like net/server.h's daemon
-// (incremental non-blocking parse, bounded per-connection output queues,
-// ProtocolError -> best-effort ErrorMsg + close). Unlike the daemon the
-// coordinator also enforces the inbound sequence contract: frames from a
-// worker must arrive seq 0, 1, 2, … — a gap means the transport lost or
-// reordered something and the connection closes rather than fold
-// questionable results. The campaign itself runs nowhere in this process:
-// ALL computation is in the workers; the coordinator only leases, folds,
-// journals, and re-publishes progress through a JobFeed (job id 1), so
-// `antalloc_client watch`/`fetch` work against a coordinator unmodified.
+// The coordinator is a Handler on a Reactor (net/reactor.h), the connection
+// core it shares with the daemon — including the inbound sequence contract:
+// a gap means the transport lost or reordered something, so the connection
+// closes rather than fold questionable results. The reactor's tick drives
+// the deadline sweep, so an overdue lease is revoked at its deadline, not
+// at the next socket event. The campaign itself runs nowhere in this
+// process: ALL computation is in the workers; the coordinator only leases,
+// folds, journals, and re-publishes progress through a JobFeed (job id 1),
+// so `antalloc_client watch`/`fetch` work against a coordinator unmodified.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -57,12 +55,12 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "io/campaign_io.h"
 #include "net/feed.h"
 #include "net/protocol.h"
+#include "net/reactor.h"
 #include "orch/lease.h"
 #include "sim/campaign.h"
 
@@ -79,11 +77,9 @@ struct CoordinatorOptions {
   // Non-empty: resumable journal path (created, or resumed when the file
   // already exists and its header matches this campaign).
   std::string journal_path;
-  std::size_t max_queue_bytes = 4u << 20;
-  int listen_backlog = 16;
 };
 
-class CoordinatorServer final : public FrameSink {
+class CoordinatorServer final : private Reactor::Handler {
  public:
   // Validates the job (campaign_from_job), sizes the lease table and
   // merger, and recovers the journal when one is configured. Throws
@@ -102,7 +98,7 @@ class CoordinatorServer final : public FrameSink {
   // before the campaign completes (workers see their connections drop).
   void stop();
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return reactor_.port(); }
   std::uint64_t config_hash() const { return config_hash_; }
   std::size_t total_cells() const { return total_cells_; }
 
@@ -112,9 +108,10 @@ class CoordinatorServer final : public FrameSink {
   // resumable rather than fatal.
   bool wait_done();
   bool done() const;
-  // Non-empty after a failure (a mismatched duplicate: two computations of
+  // Non-empty after a failure: a mismatched duplicate (two computations of
   // one cell disagreed, so the determinism contract is broken and no merged
-  // result exists).
+  // result exists), a journal write that failed, or a stop() before
+  // completion.
   std::string error() const;
   // The merged result; requires wait_done() == true.
   const CampaignResult& result() const;
@@ -129,19 +126,17 @@ class CoordinatorServer final : public FrameSink {
   };
   Stats stats() const;
 
-  // FrameSink (for the JobFeed and command replies).
-  Send send_message(std::uint64_t conn_id, MsgType type,
-                    std::span<const std::uint8_t> payload) override;
-
  private:
-  struct Connection;
+  // Reactor::Handler (poll thread, no lock held).
+  void on_message(std::uint64_t conn_id, const Message& m) override;
+  // Drops the connection from the request queues and returns its leases.
+  void on_close(std::uint64_t conn_id) override;
+  // Revokes overdue leases (their holders get LeaseRevoked, their cells go
+  // back to the queue); returns the time left to the next deadline.
+  std::int64_t on_tick() override;
 
-  void poll_loop();
-  void accept_connections();
-  bool service_input(Connection& conn);
-  void handle_message(Connection& conn, const Message& m);
-  void handle_lease_request(Connection& conn, const LeaseRequest& req);
-  void handle_cell_result(Connection& conn, const CellResult& res);
+  void handle_lease_request(std::uint64_t conn_id);
+  void handle_cell_result(std::uint64_t conn_id, const CellResult& res);
   // Folds one arriving cell (merge, journal, lease completion, feed). The
   // lease-table side runs even for verified duplicates — completion is
   // completion no matter which worker raced it in.
@@ -156,16 +151,9 @@ class CoordinatorServer final : public FrameSink {
   void broadcast_done();
   // Sends one grant (fresh lease or done) to a connection.
   void send_grant(std::uint64_t conn_id, const std::optional<Lease>& lease);
-  // Returns freed leases of a dying connection to the table.
-  void release_worker_leases(std::uint64_t conn_id);
-  void sweep_deadlines(std::int64_t now_ms);
   // take()s the merger, finishes the feed, wakes wait_done().
   void finalize();
   void fail_campaign(const std::string& why);
-  void reply(Connection& conn, const Message& m);
-  bool flush_locked(Connection& conn);
-  void close_connection(std::uint64_t conn_id);
-  void wake_poll();
   static std::int64_t now_ms();
 
   CoordinatorOptions opts_;
@@ -174,6 +162,9 @@ class CoordinatorServer final : public FrameSink {
   std::size_t total_cells_ = 0;
   std::vector<std::string> metrics_;  // resolved selection
   std::vector<MetricScalar> specs_;
+
+  // Declared before the feed that publishes through it.
+  Reactor reactor_;
 
   // Campaign state: poll-thread-owned after start() (the constructor touches
   // it freely before any thread exists).
@@ -184,16 +175,6 @@ class CoordinatorServer final : public FrameSink {
   std::map<std::uint64_t, std::uint64_t> lease_conn_;  // lease id -> conn id
   std::vector<std::uint64_t> pending_;  // conn ids awaiting a grantable lease
   std::vector<std::uint64_t> worker_conns_;  // conn ids that ever requested
-
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};
-  std::thread poll_thread_;
-  std::atomic<bool> running_{false};
-
-  mutable std::mutex io_mutex_;
-  std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
-  std::uint64_t next_conn_id_ = 1;
 
   // Completion state (wait_done handshake + result storage).
   mutable std::mutex done_mutex_;

@@ -127,6 +127,15 @@ std::vector<Lease> LeaseTable::expire(std::int64_t now_ms) {
   return expired;
 }
 
+std::optional<std::int64_t> LeaseTable::next_deadline_ms() const {
+  if (leases_.empty()) return std::nullopt;
+  return std::min_element(leases_.begin(), leases_.end(),
+                          [](const Lease& a, const Lease& b) {
+                            return a.deadline_ms < b.deadline_ms;
+                          })
+      ->deadline_ms;
+}
+
 std::size_t LeaseTable::cells_pending() const {
   return static_cast<std::size_t>(
       std::count(state_.begin(), state_.end(), CellState::kPending));

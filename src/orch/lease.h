@@ -76,6 +76,10 @@ class LeaseTable {
   // return to pending. Returns the expired leases (for revocation notices).
   std::vector<Lease> expire(std::int64_t now_ms);
 
+  // The earliest deadline among live leases (std::nullopt when none is
+  // live) — when the next expire() can retire anything.
+  std::optional<std::int64_t> next_deadline_ms() const;
+
   // The interval a lease granted now would get: the straggler policy above.
   std::int64_t deadline_interval_ms() const;
 

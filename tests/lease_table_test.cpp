@@ -137,6 +137,25 @@ TEST(LeaseTable, ExpireReturnsOverdueCellsToPending) {
   EXPECT_EQ(b->cell_count, 3u);
 }
 
+TEST(LeaseTable, NextDeadlineIsTheEarliestLiveLease) {
+  // The coordinator sleeps until next_deadline_ms(), so it must name the
+  // earliest live deadline and forget leases that retire or expire.
+  LeaseTable table(12, fast_opts());
+  EXPECT_FALSE(table.next_deadline_ms().has_value());
+
+  const Lease a = *table.grant(0);   // due at 100
+  const Lease b = *table.grant(30);  // due at 130
+  EXPECT_EQ(table.next_deadline_ms(), a.deadline_ms);
+
+  for (std::size_t c = a.first_cell; c < a.first_cell + a.cell_count; ++c) {
+    table.complete(c, 40);
+  }
+  EXPECT_EQ(table.next_deadline_ms(), b.deadline_ms);
+
+  ASSERT_EQ(table.expire(b.deadline_ms).size(), 1u);
+  EXPECT_FALSE(table.next_deadline_ms().has_value());
+}
+
 TEST(LeaseTable, LateStragglerCompletionRetiresTheReplacementLease) {
   // The straggler scenario end to end: lease a expires, its cells are
   // re-leased as b, then completions (whichever worker raced them in) empty

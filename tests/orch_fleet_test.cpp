@@ -8,8 +8,12 @@
 // and the coordinator's reply codes on bad traffic.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <chrono>
+#include <csignal>
 #include <cstdint>
+#include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -257,6 +261,56 @@ TEST(OrchFleet, JournalResumeReleasesOnlyMissingCells) {
     opts.journal_path = journal;
     EXPECT_THROW(CoordinatorServer{opts}, std::runtime_error);
   }
+}
+
+// Lowers the process's file-size limit, with SIGXFSZ ignored so a write
+// past it fails with EFBIG instead of killing the process; restores both.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*saved_handler_)(int) = SIG_DFL;
+};
+
+TEST(OrchFleet, JournalWriteFailureFailsTheCampaignByName) {
+  // A folded cell the journal cannot make durable must fail the campaign
+  // with a named error — not escape the poll thread and terminate.
+  const JobSpec job = fleet_job();
+  const std::string dir = test_util::make_temp_dir("orch_journal_full");
+  const std::string journal = dir + "/fleet.journal";
+  CoordinatorOptions opts = fleet_opts(job);
+  opts.journal_path = journal;
+  CoordinatorServer server(opts);
+
+  // The header is on disk; not one row fits under the limit.
+  const FileSizeLimit limit(std::filesystem::file_size(journal));
+  server.start();
+  WorkerThread worker(server.port(), WorkerOptions{.name = "w"});
+  EXPECT_FALSE(server.wait_done());
+  EXPECT_NE(server.error().find("journal write failed"), std::string::npos)
+      << server.error();
+  EXPECT_NE(server.error().find(journal), std::string::npos)
+      << server.error();
+  EXPECT_EQ(server.stats().cells_folded, 0u);
+
+  // The failure sends the worker home with a done-grant.
+  worker.join();
+  EXPECT_EQ(worker.error, "");
+  server.stop();
 }
 
 TEST(OrchFleet, WrongConfigHashResultIsRefused) {
