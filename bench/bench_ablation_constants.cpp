@@ -17,7 +17,6 @@
 // (b) Leave damping cd (sigmoid noise): small cd drains overloads fast but
 //     the paper's analysis needs cs >= 20/9 + 2/(cd-1) — tiny cd voids the
 //     stable zone; huge cd drains the one-time flood too slowly.
-#include "algo/ant.h"
 #include "noise/adversarial.h"
 #include "common.h"
 
@@ -28,21 +27,15 @@ namespace {
 double steady_regret(double cs, double cd, double gamma, Count demand,
                      const ModelFactory& make_model, Round rounds,
                      std::int64_t replicates) {
-  const DemandVector demands({demand});
-  const Count n = 4 * demand;
-  const auto values = run_trials(
-      replicates, 71, [&](std::int64_t, std::uint64_t seed) {
-        AntAggregate kernel(AntParams{.gamma = gamma, .cs = cs, .cd = cd});
-        auto fm = make_model();
-        AggregateSimConfig sim{.n_ants = n,
-                               .rounds = rounds,
-                               .seed = seed,
-                               .metrics = {.gamma = gamma,
-                                           .warmup = rounds / 2}};
-        return run_aggregate_sim(kernel, *fm, demands, sim)
-            .post_warmup_average();
-      });
-  return summarize(values).mean();
+  ExperimentConfig cfg;
+  cfg.algo = {.name = "ant", .gamma = gamma, .cs = cs, .cd = cd};
+  cfg.n_ants = 4 * demand;
+  cfg.rounds = rounds;
+  cfg.seed = 71;
+  cfg.metrics = {.gamma = gamma, .warmup = rounds / 2};
+  const auto results = run_replicated_experiment(
+      cfg, make_model, DemandSchedule(DemandVector({demand})), replicates);
+  return summarize(extract_metric(results, "regret")).mean();
 }
 
 }  // namespace

@@ -33,19 +33,22 @@ int main(int argc, char** argv) {
     const double gstar = bench::practical_gamma_star(lambda, demands);
     if (gstar >= 0.5) continue;  // grey zone would swallow the demand
 
-    const auto values = run_trials(
-        replicates, 19, [&](std::int64_t, std::uint64_t seed) {
-          SigmoidFeedback fm(lambda);
-          // Start at the demands so the measurement is steady-state.
-          std::vector<Count> loads(demands.values().begin(),
-                                   demands.values().end());
-          const Allocation init(n, loads);
-          const auto res = run_trivial_sequential(
-              n, demands, rounds, fm, init,
-              {.gamma = gstar, .warmup = rounds / 2}, seed);
-          return res.post_warmup_average();
-        });
-    RunningStats regret = summarize(values);
+    // The sequential model is simulated by run_trivial_sequential, not an
+    // engine, so the replicates run straight on the executor with
+    // hash(19, i) seeds.
+    std::vector<double> values(static_cast<std::size_t>(replicates));
+    parallel_for(global_pool(), 0, replicates, [&](std::int64_t i) {
+      SigmoidFeedback fm(lambda);
+      // Start at the demands so the measurement is steady-state.
+      std::vector<Count> loads(demands.values().begin(),
+                               demands.values().end());
+      const Allocation init(n, loads);
+      const auto res = run_trivial_sequential(
+          n, demands, rounds, fm, init, {.gamma = gstar, .warmup = rounds / 2},
+          rng::hash_combine(19, static_cast<std::uint64_t>(i)));
+      values[static_cast<std::size_t>(i)] = res.post_warmup_average();
+    });
+    const RunningStats regret = summarize(values);
     const double scale = gstar * static_cast<double>(demands.total());
     ctx.table.add_row({Table::fmt(lambda, 3), Table::fmt(gstar, 4),
                        Table::fmt(scale, 5), Table::fmt(regret.mean(), 5),

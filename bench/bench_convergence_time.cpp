@@ -5,11 +5,10 @@
 // Theory predicts the transient is dominated by draining the one-time join
 // flood at rate ~γ/(2·cd) per phase: time-to-band ~ (2·cd/γ)·ln(n/Σd),
 // i.e. ∝ 1/γ at fixed shape and only logarithmic in n. Both shapes are
-// checked. Built on the sweep utility + convergence metrics.
+// checked. Built on the convergence metrics.
 #include <cmath>
 
 #include "metrics/convergence.h"
-#include "sim/sweep.h"
 #include "common.h"
 
 using namespace antalloc;
@@ -34,6 +33,19 @@ double time_to_band(double gamma, Count n, Count demand, double lambda,
                            : static_cast<double>(rounds);
 }
 
+// time_to_band over `replicates` seeds hash(base_seed, i), in parallel.
+RunningStats replicated_time_to_band(double gamma, Count n, Count demand,
+                                     double lambda, std::int64_t replicates,
+                                     std::uint64_t base_seed) {
+  std::vector<double> values(static_cast<std::size_t>(replicates));
+  parallel_for(global_pool(), 0, replicates, [&](std::int64_t i) {
+    values[static_cast<std::size_t>(i)] = time_to_band(
+        gamma, n, demand, lambda,
+        rng::hash_combine(base_seed, static_cast<std::uint64_t>(i)));
+  });
+  return summarize(values);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -56,12 +68,8 @@ int main(int argc, char** argv) {
   const Count n_fixed = 8 * demand;
   double first_product = 0.0;
   for (const double gamma : {0.025, 0.05, 0.0625}) {
-    const auto results = run_sweep(
-        {{"g", {gamma}}}, replicates, 5,
-        [&](const SweepPoint& p, std::uint64_t seed) {
-          return time_to_band(p.at("g"), n_fixed, demand, lambda, seed);
-        });
-    const auto& s = results[0].stats;
+    const RunningStats s = replicated_time_to_band(gamma, n_fixed, demand,
+                                                   lambda, replicates, 5);
     const double product = gamma * s.mean();
     if (first_product == 0.0) first_product = product;
     ctx.table.add_row({"gamma", Table::fmt(gamma, 4), Table::fmt(n_fixed),
@@ -81,12 +89,8 @@ int main(int argc, char** argv) {
   double largest = 0.0;
   for (const Count mult : {4, 16, 64}) {
     const Count n = mult * 2 * demand;
-    const auto results = run_sweep(
-        {{"n", {static_cast<double>(n)}}}, replicates, 9,
-        [&](const SweepPoint&, std::uint64_t seed) {
-          return time_to_band(gamma_fixed, n, demand, lambda, seed);
-        });
-    const auto& s = results[0].stats;
+    const RunningStats s = replicated_time_to_band(gamma_fixed, n, demand,
+                                                   lambda, replicates, 9);
     if (smallest == 0.0) smallest = s.mean();
     largest = s.mean();
     ctx.table.add_row({"n", Table::fmt(gamma_fixed, 4), Table::fmt(n),

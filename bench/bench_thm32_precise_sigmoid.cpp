@@ -70,17 +70,10 @@ int main(int argc, char** argv) {
     cfg.metrics.gamma = gamma;
     cfg.metrics.warmup = cfg.rounds / 2;
     // Warm start at the operating point (can't express via `initial` kinds).
-    const auto results = run_sim_trials(
-        replicates, cfg.seed, [&](std::int64_t, std::uint64_t seed) {
-          auto kernel = make_aggregate_kernel(cfg.algo);
-          SigmoidFeedback fm(lambda);
-          AggregateSimConfig sim{.n_ants = n,
-                                 .rounds = cfg.rounds,
-                                 .seed = seed,
-                                 .metrics = cfg.metrics,
-                                 .initial_loads = {w_star}};
-          return run_aggregate_sim(*kernel, fm, demands, sim);
-        });
+    cfg.initial_loads = {w_star};
+    const auto results = run_replicated_experiment(
+        cfg, [&] { return std::make_unique<SigmoidFeedback>(lambda); },
+        DemandSchedule(demands), replicates);
     RunningStats regret;
     for (const auto& r : results) regret.add(r.post_warmup_average());
 

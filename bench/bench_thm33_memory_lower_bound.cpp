@@ -58,20 +58,24 @@ int main(int argc, char** argv) {
                                  (1.0 + 2.0 * step))};
     }
 
-    const auto results = run_sim_trials(
-        replicates, 11 + bits, [&](std::int64_t, std::uint64_t seed) {
-          auto kernel = make_memory_limited_kernel(budget, gamma);
-          SigmoidFeedback fm(lambda);
-          AggregateSimConfig sim{.n_ants = n,
-                                 .rounds = rounds,
-                                 .seed = seed,
-                                 .metrics = {.gamma = gamma,
-                                             .warmup = rounds / 2},
-                                 .initial_loads = init};
-          return run_aggregate_sim(*kernel, fm, demands, sim);
-        });
-    RunningStats regret;
-    for (const auto& r : results) regret.add(r.post_warmup_average());
+    // The memory-limited kernel is not a registry algorithm, so the
+    // replicates run straight on the executor with the standard
+    // hash(base, index) seeds.
+    std::vector<double> values(static_cast<std::size_t>(replicates));
+    parallel_for(global_pool(), 0, replicates, [&](std::int64_t i) {
+      auto kernel = make_memory_limited_kernel(budget, gamma);
+      SigmoidFeedback fm(lambda);
+      AggregateSimConfig sim{
+          .n_ants = n,
+          .rounds = rounds,
+          .seed = rng::hash_combine(static_cast<std::uint64_t>(11 + bits),
+                                    static_cast<std::uint64_t>(i)),
+          .metrics = {.gamma = gamma, .warmup = rounds / 2},
+          .initial_loads = init};
+      values[static_cast<std::size_t>(i)] =
+          run_aggregate_sim(*kernel, fm, demands, sim).post_warmup_average();
+    });
+    const RunningStats regret = summarize(values);
     ctx.table.add_row(
         {Table::fmt(static_cast<std::int64_t>(bits)),
          std::string(probe->name()),

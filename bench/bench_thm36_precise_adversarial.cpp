@@ -39,19 +39,20 @@ int main(int argc, char** argv) {
   for (const double eps : {0.5, 0.25, 0.125}) {
     PreciseAdversarialParams params{.gamma = gamma, .epsilon = eps};
     const Round rounds = phases * params.phase_length();
-    const auto results = run_sim_trials(
-        replicates, 7, [&](std::int64_t, std::uint64_t seed) {
-          auto kernel = make_aggregate_kernel(
-              {.name = "precise-adversarial", .gamma = gamma, .epsilon = eps});
-          AdversarialFeedback fm(gamma_ad, make_honest_adversary());
-          AggregateSimConfig sim{.n_ants = n,
-                                 .rounds = rounds,
-                                 .seed = seed,
-                                 .metrics = {.gamma = gamma,
-                                             .warmup = rounds / 2},
-                                 .initial_loads = {warm}};
-          return run_aggregate_sim(*kernel, fm, demands, sim);
-        });
+    ExperimentConfig cfg;
+    cfg.algo = {.name = "precise-adversarial", .gamma = gamma, .epsilon = eps};
+    cfg.n_ants = n;
+    cfg.rounds = rounds;
+    cfg.seed = 7;
+    cfg.initial_loads = {warm};
+    cfg.metrics = {.gamma = gamma, .warmup = rounds / 2};
+    const auto results = run_replicated_experiment(
+        cfg,
+        [&] {
+          return std::make_unique<AdversarialFeedback>(gamma_ad,
+                                                       make_honest_adversary());
+        },
+        DemandSchedule(demands), replicates);
     RunningStats regret;
     RunningStats switches;
     for (const auto& r : results) {

@@ -20,7 +20,8 @@
 #include "io/csv.h"
 #include "io/table.h"
 #include "noise/sigmoid.h"
-#include "parallel/trial_runner.h"
+#include "parallel/task_graph.h"
+#include "rng/splitmix.h"
 #include "sim/experiment.h"
 #include "stats/summary.h"
 

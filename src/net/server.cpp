@@ -253,7 +253,7 @@ void DaemonServer::handle_submit(std::uint64_t conn_id,
   // Execution: one plain task on the global work-stealing graph, whose body
   // is the SAME run_campaign the batch CLI calls — identical seeds,
   // identical folds, byte-identical rows.
-  global_task_graph().submit([this, job] {
+  global_pool().submit([this, job] {
     try {
       const CampaignResult result = run_campaign(job->config);
       job->feed.finish(result);

@@ -41,8 +41,8 @@ struct WorkerOptions {
   // WorkerReport::died set. The coordinator sees an ordinary disconnect and
   // releases the unfinished cells. 0 = never.
   std::size_t fail_after_cells = 0;
-  // nullptr = the process-global pool.
-  ThreadPool* pool = nullptr;
+  // The executor leased cells run on; nullptr = global_pool().
+  TaskGraph* pool = nullptr;
 };
 
 struct WorkerReport {

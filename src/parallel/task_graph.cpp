@@ -337,6 +337,19 @@ void TaskGraph::wait_batch(Batch& batch) {
   }
 }
 
+void parallel_for(TaskGraph& graph, std::int64_t begin, std::int64_t end,
+                  const TaskGraph::IndexFn& body) {
+  if (begin >= end) return;
+  // Block decomposition: at most 4 blocks per worker keeps scheduling
+  // overhead low while still smoothing imbalance (stealing rebalances the
+  // blocks themselves).
+  const std::int64_t total = end - begin;
+  const std::int64_t max_blocks = static_cast<std::int64_t>(graph.size()) * 4;
+  const std::int64_t blocks = std::min<std::int64_t>(total, max_blocks);
+  const std::int64_t grain = (total + blocks - 1) / blocks;
+  graph.run_indexed(begin, end, grain, body);
+}
+
 namespace {
 
 std::atomic<std::size_t> g_global_threads{0};
@@ -344,7 +357,7 @@ std::atomic<bool> g_global_constructed{false};
 
 }  // namespace
 
-TaskGraph& global_task_graph() {
+TaskGraph& global_pool() {
   static TaskGraph graph(g_global_threads.load(std::memory_order_acquire));
   g_global_constructed.store(true, std::memory_order_release);
   return graph;

@@ -1,7 +1,8 @@
-// Work-stealing task executor: the scheduling engine under every parallel
-// construct in the codebase (parallel_for, run_sim_trials, run_campaign's
-// flattened cell×replicate graph; parallel/thread_pool.h is a thin
-// compatibility layer over it).
+// Work-stealing task executor: the one scheduling engine in the codebase.
+// Everything parallel lands here — parallel_for (below), the per-replicate
+// run_replicated_experiment built on it, and run_campaign's flattened
+// cell×replicate graph. parallel/thread_pool.h only keeps the historical
+// ThreadPool spelling as an alias of TaskGraph.
 //
 // Design: one persistent worker thread per slot, each owning a Chase–Lev
 // deque (parallel/ws_deque.h). A worker's loop is pop-own-deque first
@@ -15,7 +16,7 @@
 // an eventcount (sleeper counter + epoch + condvar) that producers touch
 // only when someone is actually asleep.
 //
-// Two front doors:
+// Two entry points:
 //  - run_indexed(begin, end, grain, body[, on_done]): the bulk API. Splits
 //    the index range into ceil(total/grain) stealable range-tasks sharing
 //    ONE body (no per-iteration std::function allocation), runs them to
@@ -28,17 +29,18 @@
 //    thread has two hands on the work. Reentrant: a body may call
 //    run_indexed on the same graph (nested batches push to the worker's
 //    own deque and the worker helps until the nested batch drains).
-//  - submit(fn) / wait_idle(): the incremental API (ThreadPool-shaped).
-//    Each submit is one heap-allocated task; wait_idle blocks until every
-//    submitted task has finished and rethrows the first captured exception
-//    with its original type.
+//  - submit(fn) / wait_idle(): the incremental API. Each submit is one
+//    heap-allocated task; wait_idle blocks until every submitted task has
+//    finished and rethrows the first captured exception with its original
+//    type.
 //
 // Determinism contract: the executor decides only WHERE and WHEN a task
 // runs, never WHAT it computes — callers derive all randomness from task
 // indices (seeds are hash(base, index)), write results into pre-sized
 // per-index slots, and fold in index order. Under that discipline results
 // are bit-identical for any worker count and any steal schedule, which
-// campaign_schedule_test pins across {1, 4, 8} workers.
+// campaign_schedule_test (run_campaign) and experiment_test
+// (run_replicated_experiment) pin across {1, 4, 8} workers.
 #pragma once
 
 #include <atomic>
@@ -128,14 +130,22 @@ class TaskGraph {
   static thread_local Worker* tls_worker_;
 };
 
+// Runs body(i) for i in [begin, end) on `graph`, blocking until done.
+// Chunked: at most 4 stealable range-tasks per worker (one shared body, no
+// per-iteration allocation). Exceptions thrown by `body` are captured — the
+// remaining iterations still run — and the first one is rethrown on the
+// calling thread with its original type after all iterations finish.
+void parallel_for(TaskGraph& graph, std::int64_t begin, std::int64_t end,
+                  const TaskGraph::IndexFn& body);
+
 // Shared process-wide executor (lazily constructed). Width defaults to
-// hardware_concurrency; set_global_task_graph_threads (or the ThreadPool
-// equivalent) pins it before first use.
-TaskGraph& global_task_graph();
+// hardware_concurrency; set_global_task_graph_threads pins it before first
+// use.
+TaskGraph& global_pool();
 
 // Pins the width of the lazily-constructed global executor (0 = hardware
-// concurrency). Must be called before global_task_graph() first runs —
-// throws std::logic_error afterwards, because shrinking a live pool is not
+// concurrency). Must be called before global_pool() first runs — throws
+// std::logic_error afterwards, because shrinking a live pool is not
 // supported. The CLI's --jobs flag lands here.
 void set_global_task_graph_threads(std::size_t threads);
 

@@ -1,75 +1,13 @@
-// Compatibility façade over the work-stealing executor.
-//
-// ThreadPool predates parallel/task_graph.h and is kept as the stable
-// public surface — submit/wait_idle/size plus the blocking parallel_for —
-// while every call now lands on a TaskGraph. Existing callers keep
-// compiling unchanged and silently gain the lock-free hot path, chunked
-// parallel_for, and caller participation. New code that wants the bulk
-// index API (run_indexed with completion hooks) should reach through
-// graph() or talk to TaskGraph directly.
-//
-// Design notes (HPC guides): all parallelism is explicit; tasks must not
-// touch shared mutable state except through their own index range; results
-// are written to pre-sized slots so no synchronization is needed on the data
-// path, and reproducibility is guaranteed by seeding RNG streams from the
-// trial index rather than from the executing thread.
+// ThreadPool is another name for the work-stealing executor, kept so code
+// that spells it (a pool built from a thread count, parallel_for over it,
+// global_pool(), CampaignConfig::pool) keeps building. The library itself
+// spells TaskGraph — see parallel/task_graph.h.
 #pragma once
-
-#include <cstdint>
-#include <functional>
-#include <memory>
 
 #include "parallel/task_graph.h"
 
 namespace antalloc {
 
-class ThreadPool {
- public:
-  // threads == 0 picks hardware_concurrency (at least 1). Owns a private
-  // executor of that width.
-  explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t size() const { return graph_->size(); }
-
-  // Enqueues a task. Unlike the historical pool (which had no propagation
-  // channel), exceptions thrown by tasks are captured and the first one is
-  // rethrown from wait_idle with its original type.
-  void submit(std::function<void()> task) { graph_->submit(std::move(task)); }
-
-  // Blocks until every submitted task has finished executing, then rethrows
-  // the first exception any of them threw. The calling thread executes
-  // pending tasks while it waits.
-  void wait_idle() { graph_->wait_idle(); }
-
-  // The executor underneath — for callers that want run_indexed, completion
-  // hooks, or the steal counter.
-  TaskGraph& graph() { return *graph_; }
-
- private:
-  // Borrowing constructor used by global_pool(): wraps an executor owned
-  // elsewhere (the global TaskGraph) instead of spawning a second set of
-  // threads.
-  explicit ThreadPool(TaskGraph& borrowed);
-  friend ThreadPool& global_pool();
-
-  std::unique_ptr<TaskGraph> owned_;
-  TaskGraph* graph_;
-};
-
-// Runs body(i) for i in [begin, end) across the pool, blocking until done.
-// Chunked: at most 4 stealable range-tasks per worker (one shared body, no
-// per-iteration allocation). Exceptions thrown by `body` are captured — the
-// remaining iterations still run — and the first one is rethrown on the
-// calling thread with its original type after all iterations finish.
-void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& body);
-
-// Shared process-wide pool. Borrows global_task_graph(), so a width pinned
-// via set_global_task_graph_threads (the CLI's --jobs) applies here too.
-ThreadPool& global_pool();
+using ThreadPool = TaskGraph;
 
 }  // namespace antalloc

@@ -11,7 +11,7 @@
 
 #include "io/trace_log.h"
 #include "io/trace_reader.h"
-#include "parallel/thread_pool.h"
+#include "parallel/task_graph.h"
 #include "rng/splitmix.h"
 
 namespace antalloc {
@@ -261,7 +261,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     tracks[i].remaining.store(reps, std::memory_order_relaxed);
   }
 
-  TaskGraph& graph = (cfg.pool != nullptr ? *cfg.pool : global_pool()).graph();
+  TaskGraph& graph = cfg.pool != nullptr ? *cfg.pool : global_pool();
   const std::uint64_t steals_base = graph.steals();
   std::atomic<std::size_t> cells_done{0};
   std::atomic<std::size_t> cells_started{0};

@@ -1,5 +1,7 @@
-// Campaign runner: scenario × algorithm × noise matrices through the
-// replicated experiment façade, producing tidy Table/CSV results.
+// Campaign runner: scenario × algorithm × noise matrices, producing tidy
+// Table/CSV results. This is the matrix front door over the replicate unit
+// run_replicate (sim/experiment.h); run_replicated_experiment is the
+// per-replicate one. Both schedule on the same TaskGraph executor.
 //
 // Every bench and example used to hand-roll its own double loop over
 // scenarios and algorithms; a campaign is that loop as a subsystem. Fill a
@@ -156,8 +158,9 @@ struct CampaignConfig {
   // campaign_config_hash: every shard of one campaign shares the hash, which
   // is exactly what lets the merge check they came from the same config.
   ShardSpec shard{};
-  // nullptr = the process-global pool.
-  ThreadPool* pool = nullptr;
+  // The executor the flat (cell × replicate) graph runs on; nullptr =
+  // global_pool().
+  TaskGraph* pool = nullptr;
   // Optional progress observer (see CampaignProgress above). Not owned;
   // must outlive run_campaign. Excluded from campaign_config_hash.
   CampaignProgress* progress = nullptr;
@@ -262,7 +265,7 @@ std::vector<std::size_t> shard_cell_indices(std::size_t total_cells,
 // options INCLUDING the resolved metric-name selection (so shards computed
 // with different metric sets — hence different columns — refuse to merge),
 // and the seed-pairing/keep_results switches. Deliberately excluded:
-// the shard spec, thread pool and progress observer (they must not affect
+// the shard spec, executor and progress observer (they must not affect
 // results — that is the whole point), and the noise factories' behavior (closures cannot be
 // hashed; the noise NAME stands in for it, so give distinct noise configs
 // distinct names). Two shard files merge only if their hashes agree.

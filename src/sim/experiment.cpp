@@ -4,7 +4,7 @@
 
 #include "agent/agent_sim.h"
 #include "aggregate/aggregate_sim.h"
-#include "parallel/trial_runner.h"
+#include "parallel/task_graph.h"
 #include "rng/splitmix.h"
 
 namespace antalloc {
@@ -121,14 +121,20 @@ SimResult run_replicate(const ExperimentConfig& cfg,
 
 std::vector<SimResult> run_replicated_experiment(
     const ExperimentConfig& cfg, const ModelFactory& make_model,
-    const DemandSchedule& schedule, std::int64_t replicates, ThreadPool* pool,
+    const DemandSchedule& schedule, std::int64_t replicates, TaskGraph* pool,
     const SinkFactory& make_sink) {
-  return run_sim_trials(
-      replicates, cfg.seed,
-      [&](std::int64_t trial, std::uint64_t /*seed*/) {
-        return run_replicate(cfg, make_model, schedule, trial, make_sink);
-      },
-      pool);
+  if (replicates < 1) {
+    throw std::invalid_argument(
+        "run_replicated_experiment: replicates >= 1 (got " +
+        std::to_string(replicates) + ")");
+  }
+  std::vector<SimResult> results(static_cast<std::size_t>(replicates));
+  parallel_for(pool != nullptr ? *pool : global_pool(), 0, replicates,
+               [&](std::int64_t trial) {
+                 results[static_cast<std::size_t>(trial)] = run_replicate(
+                     cfg, make_model, schedule, trial, make_sink);
+               });
+  return results;
 }
 
 std::vector<double> extract_metric(const std::vector<SimResult>& results,
@@ -154,19 +160,6 @@ std::vector<double> extract_metric(const std::vector<SimResult>& results,
       r.metric(name);  // throws, naming the recorded scalars
     }
   }
-  return out;
-}
-
-std::vector<double> extract_post_warmup_average(
-    const std::vector<SimResult>& results) {
-  return extract_metric(results, "regret");
-}
-
-std::vector<double> extract_closeness(const std::vector<SimResult>& results,
-                                      double gamma_star, Count total_demand) {
-  std::vector<double> out = extract_metric(results, "regret");
-  const double denom = gamma_star * static_cast<double>(total_demand);
-  for (double& value : out) value = denom > 0.0 ? value / denom : 0.0;
   return out;
 }
 

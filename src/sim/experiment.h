@@ -1,6 +1,14 @@
 // Experiment façade: one call from an algorithm name + noise model factory +
-// demand schedule to replicated, parallel simulation results. This is the
-// API every bench and example builds on.
+// demand schedule to replicated, parallel simulation results.
+//
+// run_replicate is the replicate unit: one trial with seed hash(cfg.seed,
+// trial). Two front doors sit on it. run_replicated_experiment (here) is the
+// per-replicate API — parallel_for over run_replicate, one SimResult per
+// trial, what the theorem benches and the KS tests consume. run_campaign
+// (sim/campaign.h) is the matrix API — scenario × algorithm × noise, with
+// replicates folded into statistics. Trials that are not an
+// ExperimentConfig (custom kernels, the sequential model) call parallel_for
+// (parallel/task_graph.h) with rng::hash_combine(base, i) directly.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +26,7 @@
 
 namespace antalloc {
 
-class ThreadPool;
+class TaskGraph;
 
 // Builds a fresh noise-model instance per trial (models may be stateful).
 using ModelFactory = std::function<std::unique_ptr<FeedbackModel>()>;
@@ -99,13 +107,14 @@ SimResult run_replicate(const ExperimentConfig& cfg,
                         const DemandSchedule& schedule, std::int64_t trial,
                         const SinkFactory& make_sink = {});
 
-// Runs `replicates` independent trials in parallel (deterministic per-trial
-// seeds derived from cfg.seed, independent of thread count). `pool` selects
-// the thread pool; nullptr uses the process-global one.
+// Runs run_replicate for trials 0..replicates-1 in parallel and returns the
+// results in trial order — bit-identical to a sequential run_replicate loop
+// for any executor width. `pool` selects the executor; nullptr uses
+// global_pool(). Throws std::invalid_argument unless replicates >= 1.
 std::vector<SimResult> run_replicated_experiment(
     const ExperimentConfig& cfg, const ModelFactory& make_model,
     const DemandSchedule& schedule, std::int64_t replicates,
-    ThreadPool* pool = nullptr, const SinkFactory& make_sink = {});
+    TaskGraph* pool = nullptr, const SinkFactory& make_sink = {});
 
 // Pulls the named scalar from each replicate's metric map (SimResult). For
 // the historical scalars ("regret", "violations", "switches_per_ant_round")
@@ -115,13 +124,5 @@ std::vector<SimResult> run_replicated_experiment(
 // legacy-derivable.
 std::vector<double> extract_metric(const std::vector<SimResult>& results,
                                    std::string_view name);
-
-// Legacy extraction shims — thin wrappers over extract_metric, kept so the
-// benches compile unchanged. extract_post_warmup_average is the "regret"
-// scalar; extract_closeness is that scalar rescaled by 1/(γ*·Σd).
-std::vector<double> extract_post_warmup_average(
-    const std::vector<SimResult>& results);
-std::vector<double> extract_closeness(const std::vector<SimResult>& results,
-                                      double gamma_star, Count total_demand);
 
 }  // namespace antalloc

@@ -38,7 +38,7 @@
 #include "metrics/metric.h"
 #include "noise/exact.h"
 #include "noise/sigmoid.h"
-#include "parallel/trial_runner.h"
+#include "sim/experiment.h"
 #include "stats/summary.h"
 
 #ifndef ANTALLOC_TEST_DATA_DIR
@@ -142,18 +142,20 @@ TEST(AgentBatched, ExactSwitchLawMatchesPerAntEngine) {
   const std::vector<Count> initial{kAnts};
 
   const auto mean_switches = [&](SamplingMode mode, std::uint64_t base_seed) {
-    const auto results = run_sim_trials(
-        kReplicates, base_seed, [&](std::int64_t, std::uint64_t seed) {
-          AntAgent algo(params);
-          ExactFeedback fm;
-          AgentSimConfig cfg{.n_ants = kAnts,
-                             .rounds = 2,  // one full phase
-                             .seed = seed,
-                             .metrics = {.gamma = params.gamma},
-                             .initial_loads = initial,
-                             .sampling = mode};
-          return run_agent_sim(algo, fm, demands, cfg);
-        });
+    const auto results = run_replicated_experiment(
+        {.algo = {.name = "ant",
+                  .gamma = params.gamma,
+                  .cs = params.cs,
+                  .cd = params.cd},
+         .engine = Engine::kAgent,
+         .n_ants = kAnts,
+         .rounds = 2,  // one full phase
+         .seed = base_seed,
+         .initial_loads = initial,
+         .metrics = {.gamma = params.gamma},
+         .sampling = mode},
+        [] { return std::make_unique<ExactFeedback>(); },
+        DemandSchedule(demands), kReplicates);
     RunningStats stats;
     for (const auto& r : results) {
       stats.add(static_cast<double>(r.switches));

@@ -17,7 +17,7 @@
 
 #include "metrics/metric.h"
 #include "noise/sigmoid.h"
-#include "parallel/thread_pool.h"
+#include "parallel/task_graph.h"
 #include "rng/splitmix.h"
 #include "sim/campaign.h"
 #include "testing_util.h"
@@ -114,9 +114,9 @@ void expect_bit_identical(const CampaignResult& a, const CampaignResult& b) {
 
 TEST(CampaignSchedule, BitIdenticalAcrossWorkerCounts) {
   auto cfg = churn_matrix();
-  ThreadPool one(1);
-  ThreadPool four(4);
-  ThreadPool eight(8);
+  TaskGraph one(1);
+  TaskGraph four(4);
+  TaskGraph eight(8);
 
   cfg.pool = &one;
   const auto r1 = run_campaign(cfg);
@@ -135,7 +135,7 @@ TEST(CampaignSchedule, BitIdenticalAcrossWorkerCounts) {
 TEST(CampaignSchedule, MatchesSequentialReferenceLoop) {
   auto cfg = churn_matrix();
   const auto reference = reference_sequential(cfg);
-  ThreadPool eight(8);
+  TaskGraph eight(8);
   cfg.pool = &eight;
   const auto stolen = run_campaign(cfg);
   expect_bit_identical(reference, stolen);
@@ -146,7 +146,7 @@ TEST(CampaignSchedule, ShardedCellsMatchSequentialReference) {
   auto cfg = churn_matrix();
   cfg.shard = {1, 3};
   const auto reference = reference_sequential(cfg);
-  ThreadPool four(4);
+  TaskGraph four(4);
   cfg.pool = &four;
   const auto stolen = run_campaign(cfg);
   expect_bit_identical(reference, stolen);
@@ -169,7 +169,7 @@ TEST(CampaignSchedule, ProgressReportsEveryCellOnce) {
   auto cfg = churn_matrix();
   RecordingProgress progress;
   cfg.progress = &progress;
-  ThreadPool four(4);
+  TaskGraph four(4);
   cfg.pool = &four;
   const auto result = run_campaign(cfg);
 

@@ -7,7 +7,7 @@
 
 #include "noise/correlated.h"
 #include "noise/sigmoid.h"
-#include "parallel/thread_pool.h"
+#include "parallel/task_graph.h"
 #include "sim/campaign.h"
 #include "testing_util.h"
 
@@ -40,8 +40,8 @@ TEST(Campaign, MatrixShapeAndLabels) {
 
 TEST(Campaign, DeterministicAcrossThreadCounts) {
   auto cfg = small_matrix();
-  ThreadPool serial(1);
-  ThreadPool wide(4);
+  TaskGraph serial(1);
+  TaskGraph wide(4);
 
   cfg.pool = &serial;
   const auto a = run_campaign(cfg);

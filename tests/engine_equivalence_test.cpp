@@ -14,7 +14,6 @@
 #include "algo/registry.h"
 #include "noise/adversarial.h"
 #include "noise/sigmoid.h"
-#include "parallel/trial_runner.h"
 #include "sim/campaign.h"
 #include "stats/summary.h"
 
@@ -50,16 +49,16 @@ TEST_P(EngineEquivalence, MeansAgree) {
 
   RunningStats agent_load0;
   RunningStats agent_regret;
-  const auto agent_results = run_sim_trials(
-      kReplicates, 1000, [&](std::int64_t, std::uint64_t seed) {
-        auto algo = make_agent_algorithm(algo_cfg);
-        auto fm = make_noise(param.noise);
-        AgentSimConfig cfg{.n_ants = kAnts,
-                           .rounds = param.rounds,
-                           .seed = seed,
-                           .metrics = {.gamma = param.gamma, .warmup = warmup}};
-        return run_agent_sim(*algo, *fm, demands, cfg);
-      });
+  const auto make_fm = [&] { return make_noise(param.noise); };
+  const auto agent_results = run_replicated_experiment(
+      {.algo = algo_cfg,
+       .engine = Engine::kAgent,
+       .n_ants = kAnts,
+       .rounds = param.rounds,
+       .seed = 1000,
+       .metrics = {.gamma = param.gamma, .warmup = warmup},
+       .sampling = SamplingMode::kPerAnt},
+      make_fm, DemandSchedule(demands), kReplicates);
   for (const auto& r : agent_results) {
     agent_load0.add(static_cast<double>(r.final_loads[0]));
     agent_regret.add(r.post_warmup_average());
@@ -67,17 +66,14 @@ TEST_P(EngineEquivalence, MeansAgree) {
 
   RunningStats agg_load0;
   RunningStats agg_regret;
-  const auto agg_results = run_sim_trials(
-      kReplicates, 2000, [&](std::int64_t, std::uint64_t seed) {
-        auto kernel = make_aggregate_kernel(algo_cfg);
-        auto fm = make_noise(param.noise);
-        AggregateSimConfig cfg{.n_ants = kAnts,
-                               .rounds = param.rounds,
-                               .seed = seed,
-                               .metrics = {.gamma = param.gamma,
-                                           .warmup = warmup}};
-        return run_aggregate_sim(*kernel, *fm, demands, cfg);
-      });
+  const auto agg_results = run_replicated_experiment(
+      {.algo = algo_cfg,
+       .engine = Engine::kAggregate,
+       .n_ants = kAnts,
+       .rounds = param.rounds,
+       .seed = 2000,
+       .metrics = {.gamma = param.gamma, .warmup = warmup}},
+      make_fm, DemandSchedule(demands), kReplicates);
   for (const auto& r : agg_results) {
     agg_load0.add(static_cast<double>(r.final_loads[0]));
     agg_regret.add(r.post_warmup_average());
@@ -178,14 +174,16 @@ TEST(EngineEquivalenceRegistry, RegretDistributionsAgreeAcrossScenarioZoo) {
       cfg.engine = Engine::kAgent;
       cfg.sampling = SamplingMode::kPerAnt;  // pin the legacy stream arm
       cfg.seed = 1000;
-      const auto agent_regret = extract_post_warmup_average(
+      const auto agent_regret = extract_metric(
           run_replicated_experiment(cfg, make_fm, scenario.schedule,
-                                    kReplicates));
+                                    kReplicates),
+          "regret");
       cfg.engine = Engine::kAggregate;
       cfg.seed = 2000;
-      const auto agg_regret = extract_post_warmup_average(
+      const auto agg_regret = extract_metric(
           run_replicated_experiment(cfg, make_fm, scenario.schedule,
-                                    kReplicates));
+                                    kReplicates),
+          "regret");
 
       const RunningStats agent_stats = summarize(agent_regret);
       const RunningStats agg_stats = summarize(agg_regret);
@@ -210,9 +208,10 @@ TEST(EngineEquivalenceRegistry, RegretDistributionsAgreeAcrossScenarioZoo) {
         cfg.engine = Engine::kAgent;
         cfg.sampling = SamplingMode::kBatched;
         cfg.seed = 3000;
-        const auto batched_regret = extract_post_warmup_average(
+        const auto batched_regret = extract_metric(
             run_replicated_experiment(cfg, make_fm, scenario.schedule,
-                                      kReplicates));
+                                      kReplicates),
+            "regret");
         const RunningStats batched_stats = summarize(batched_regret);
         const double batched_tol =
             4.0 * std::sqrt(batched_stats.stderr_mean() *
@@ -270,20 +269,23 @@ TEST(EngineEquivalenceOutOfModel, IdlePoolExhaustionAgrees) {
       cfg.engine = Engine::kAgent;
       cfg.sampling = SamplingMode::kPerAnt;  // pin the legacy stream arm
       cfg.seed = 1000;
-      const auto agent_regret = extract_post_warmup_average(
-          run_replicated_experiment(cfg, make_fm, schedule, kReplicates));
+      const auto agent_regret = extract_metric(
+          run_replicated_experiment(cfg, make_fm, schedule, kReplicates),
+          "regret");
       cfg.engine = Engine::kAggregate;
       cfg.seed = 2000;
-      const auto agg_regret = extract_post_warmup_average(
-          run_replicated_experiment(cfg, make_fm, schedule, kReplicates));
+      const auto agg_regret = extract_metric(
+          run_replicated_experiment(cfg, make_fm, schedule, kReplicates),
+          "regret");
 
       // Batched arm: the idle-pool clamp must agree out of model too (joins
       // are drawn from the same finite pool in all three realizations).
       cfg.engine = Engine::kAgent;
       cfg.sampling = SamplingMode::kBatched;
       cfg.seed = 3000;
-      const auto batched_regret = extract_post_warmup_average(
-          run_replicated_experiment(cfg, make_fm, schedule, kReplicates));
+      const auto batched_regret = extract_metric(
+          run_replicated_experiment(cfg, make_fm, schedule, kReplicates),
+          "regret");
 
       const RunningStats agent_stats = summarize(agent_regret);
       const RunningStats agg_stats = summarize(agg_regret);

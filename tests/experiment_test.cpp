@@ -1,9 +1,15 @@
 // Tests for the experiment façade: engine selection, replicated runs,
-// deterministic seeding, and the extraction helpers.
+// deterministic seeding, pool independence, and metric extraction.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "noise/correlated.h"
 #include "noise/sigmoid.h"
+#include "parallel/task_graph.h"
 #include "sim/experiment.h"
 
 namespace antalloc {
@@ -138,19 +144,94 @@ TEST(Experiment, ReplicatedRunsAreDeterministicAndDistinct) {
   EXPECT_NE(a[0].total_regret, a[1].total_regret);
 }
 
+TEST(Experiment, ReplicatesMustBePositive) {
+  const auto cfg = base_config();
+  const DemandSchedule schedule(uniform_demands(2, 800));
+  const auto make_model = [] {
+    return std::make_unique<SigmoidFeedback>(1.0);
+  };
+  for (const std::int64_t bad : {std::int64_t{-1}, std::int64_t{0}}) {
+    try {
+      run_replicated_experiment(cfg, make_model, schedule, bad);
+      ADD_FAILURE() << "replicates = " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("replicates >= 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Every field of two results, doubles compared bit for bit.
+void expect_identical(const SimResult& a, const SimResult& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.n_ants, b.n_ants);
+  EXPECT_EQ(bits(a.total_regret), bits(b.total_regret));
+  EXPECT_EQ(bits(a.regret_plus), bits(b.regret_plus));
+  EXPECT_EQ(bits(a.regret_near), bits(b.regret_near));
+  EXPECT_EQ(bits(a.regret_minus), bits(b.regret_minus));
+  EXPECT_EQ(a.post_warmup_rounds, b.post_warmup_rounds);
+  EXPECT_EQ(bits(a.post_warmup_regret), bits(b.post_warmup_regret));
+  EXPECT_EQ(a.violation_rounds, b.violation_rounds);
+  EXPECT_EQ(a.switches, b.switches);
+  EXPECT_EQ(a.final_loads, b.final_loads);
+  EXPECT_EQ(a.metric_names, b.metric_names);
+  ASSERT_EQ(a.metric_values.size(), b.metric_values.size());
+  for (std::size_t m = 0; m < a.metric_values.size(); ++m) {
+    EXPECT_EQ(bits(a.metric_values[m]), bits(b.metric_values[m]))
+        << a.metric_names[m];
+  }
+}
+
+// The per-replicate door is a parallel_for over run_replicate: on any
+// executor width it must return exactly what a sequential loop over the
+// unit returns, in trial order, each trial on its own hash(seed, i) stream.
+TEST(Experiment, ReplicatedEqualsSequentialLoopOnAnyPool) {
+  const DemandSchedule schedule(uniform_demands(2, 800));
+  const auto make_model = [] {
+    return std::make_unique<SigmoidFeedback>(1.0);
+  };
+  constexpr std::int64_t kReplicates = 6;
+  for (const Engine engine : {Engine::kAggregate, Engine::kAgent}) {
+    auto cfg = base_config();
+    cfg.engine = engine;
+    std::vector<SimResult> sequential;
+    for (std::int64_t i = 0; i < kReplicates; ++i) {
+      sequential.push_back(run_replicate(cfg, make_model, schedule, i));
+    }
+    for (std::size_t i = 1; i < sequential.size(); ++i) {
+      EXPECT_NE(sequential[i].total_regret, sequential[0].total_regret)
+          << "replicates must draw distinct streams";
+    }
+    for (const std::size_t width : {1, 4, 8}) {
+      SCOPED_TRACE(std::string(to_string(engine)) + " on TaskGraph(" +
+                   std::to_string(width) + ")");
+      TaskGraph pool(width);
+      const auto results = run_replicated_experiment(cfg, make_model,
+                                                     schedule, kReplicates,
+                                                     &pool);
+      ASSERT_EQ(results.size(), sequential.size());
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        expect_identical(results[i], sequential[i]);
+      }
+    }
+  }
+}
+
 TEST(Experiment, ExtractionHelpers) {
   auto cfg = base_config();
   const DemandSchedule schedule(uniform_demands(2, 800));
   const auto results = run_replicated_experiment(
       cfg, [] { return std::make_unique<SigmoidFeedback>(1.0); }, schedule, 3);
-  const auto averages = extract_post_warmup_average(results);
+  const auto averages = extract_metric(results, "regret");
   ASSERT_EQ(averages.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(averages[i], results[i].post_warmup_average());
   }
-  const auto closeness = extract_closeness(results, 0.05, 1600);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(closeness[i], averages[i] / (0.05 * 1600.0));
+    EXPECT_DOUBLE_EQ(results[i].closeness(0.05, 1600),
+                     averages[i] / (0.05 * 1600.0));
   }
 }
 

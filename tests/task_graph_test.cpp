@@ -188,8 +188,8 @@ TEST(TaskGraph, NestedRunIndexedFromTask) {
   for (const auto& h : inner_hits) EXPECT_EQ(h.load(), 1);
 }
 
-// submit() from inside a running task (the ThreadPool idiom some callers
-// use): wait_idle must cover tasks submitted while it is already waiting.
+// submit() from inside a running task (an idiom some callers use):
+// wait_idle must cover tasks submitted while it is already waiting.
 TEST(TaskGraph, SubmitFromTaskIsCoveredByWaitIdle) {
   TaskGraph graph(2);
   std::atomic<int> ran{0};
@@ -201,6 +201,12 @@ TEST(TaskGraph, SubmitFromTaskIsCoveredByWaitIdle) {
   }
   graph.wait_idle();
   EXPECT_EQ(ran.load(), 20);
+}
+
+TEST(TaskGraph, WaitIdleWithNothingSubmittedReturns) {
+  TaskGraph graph(2);
+  graph.wait_idle();  // must not deadlock
+  SUCCEED();
 }
 
 TEST(TaskGraph, SingleWorkerStillCompletesWithCallerHelp) {
@@ -220,8 +226,8 @@ TEST(TaskGraph, StealCounterIsMonotone) {
   EXPECT_GE(graph.steals(), before);
 }
 
-TEST(GlobalTaskGraph, WidthPinRejectedAfterFirstUse) {
-  global_task_graph();  // force construction
+TEST(GlobalPool, WidthPinRejectedAfterFirstUse) {
+  global_pool();  // force construction
   EXPECT_THROW(set_global_task_graph_threads(2), std::logic_error);
 }
 
