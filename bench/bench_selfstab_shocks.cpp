@@ -6,9 +6,17 @@
 // The standard scenario suite runs through the campaign API (one cell per
 // scenario × Algorithm Ant); per scenario we report the steady-state regret,
 // the number of out-of-band rounds, and the measured recovery time after the
-// last shock (rounds until the deficit re-enters the band for good).
+// last shock (rounds until the deficit re-enters the band for good). The
+// campaign writes one binary trace per cell; the strided deficit trace the
+// recovery time needs is rebuilt by replaying it.
+#include <unistd.h>
+
+#include <filesystem>
+
 #include "metrics/oscillation.h"
 #include "common.h"
+#include "io/trace_log.h"
+#include "io/trace_reader.h"
 #include "sim/campaign.h"
 #include "sim/scenario.h"
 
@@ -36,9 +44,45 @@ Round recovery_round(const Trace& trace, const DemandSchedule& schedule,
   return any_bad ? trace.round_at(last_bad) : 0;
 }
 
+// A per-process scratch directory, removed on every exit path (so
+// concurrent runs never share one and a throw leaves nothing behind).
+struct ScratchDir {
+  std::filesystem::path path;
+  ScratchDir()
+      : path(std::filesystem::temp_directory_path() /
+             ("bench_selfstab_shocks_traces." + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path, ignored);
+  }
+};
+
+// Replays one trace through a recorder with the live run's band settings,
+// keeping every 8th round's deficits.
+SimResult replay_with_trace(const std::string& path) {
+  TraceReader reader(path);
+  MetricsRecorder::Options opts = reader.recorder_options();
+  opts.trace_stride = 8;
+  MetricsRecorder recorder(reader.info().num_tasks, reader.info().n_ants,
+                           opts);
+  RoundView view;
+  std::vector<Count> last_loads;
+  while (reader.next(view)) {
+    recorder.record_round(view);
+    last_loads.assign(view.loads.begin(), view.loads.end());
+  }
+  return recorder.finish(last_loads);
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
+// A function-try-block, so a throw unwinds main's locals (the trace
+// directory among them) before the process exits.
+int main(int argc, char** argv) try {
   Args args(argc, argv);
   const Count demand = args.get_int("demand", 20'000);
   const std::int32_t k = static_cast<std::int32_t>(args.get_int("k", 4));
@@ -72,8 +116,8 @@ int main(int argc, char** argv) {
   campaign.replicates = 1;
   campaign.metrics.gamma = gamma;
   campaign.metrics.warmup = rounds * 3 / 4;  // after the last shock settles
-  campaign.metrics.trace_stride = 8;
-  campaign.keep_results = true;
+  const ScratchDir traces;
+  campaign.trace_dir = traces.path.string();
 
   const CampaignResult result = run_campaign(campaign);
 
@@ -84,7 +128,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const CampaignCell& cell = result.cells[i];
     const Scenario& scenario = campaign.scenarios[i / cells_per_scenario];
-    const SimResult& res = cell.results.front();
+    const SimResult res = replay_with_trace(
+        (traces.path / trace_file_name(cell.flat_index, 0)).string());
 
     const auto& final_demands = scenario.schedule.demands_at(rounds);
     double final_regret = 0.0;
@@ -108,4 +153,7 @@ int main(int argc, char** argv) {
     }
   }
   return ctx.finish();
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "bench_selfstab_shocks: %s\n", e.what());
+  return 1;
 }

@@ -32,6 +32,7 @@
 
 #include "io/args.h"
 #include "io/campaign_io.h"
+#include "io/csv.h"
 #include "io/plot.h"
 #include "io/table.h"
 #include "io/trace_log.h"
@@ -302,7 +303,7 @@ int main(int argc, char** argv) {
   if (!replay_path.empty()) {
     TraceReader reader(replay_path);
     const TraceInfo& info = reader.info();
-    const SimResult res = replay_trace(reader, split_csv(metrics_flag));
+    const SimResult res = replay_trace(reader, split_names(metrics_flag));
     std::printf("replayed %s: %lld rounds, n=%lld, k=%d, seed=%016llx, "
                 "config %016llx, gamma=%.4f, warmup=%lld\n\n",
                 replay_path.c_str(), static_cast<long long>(info.rounds),
@@ -414,7 +415,7 @@ int main(int argc, char** argv) {
   cfg.metrics = {.gamma = gamma,
                  .warmup = rounds / 2,
                  .trace_stride = std::max<Round>(1, rounds / 512),
-                 .names = split_csv(metrics_flag)};
+                 .names = split_names(metrics_flag)};
 
   auto fm = noise_spec.make();
   const Engine resolved = resolve_engine(engine, cfg.algo, *fm);

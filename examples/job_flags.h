@@ -17,24 +17,12 @@
 #include "core/critical_value.h"
 #include "core/demand.h"
 #include "io/args.h"
+#include "io/csv.h"
 #include "net/protocol.h"
 #include "sim/experiment.h"
 #include "sim/scenario.h"
 
 namespace antalloc {
-
-inline std::vector<std::string> split_csv(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > start) out.push_back(list.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
 
 // Noise + learning-rate flags, with the gamma defaulting the CLI has always
 // applied: sigmoid → 1.5× the critical value at lambda (capped at 1/16.5),
@@ -92,15 +80,15 @@ inline JobSpec parse_job_spec(Args& args) {
   job.initial = parse_initial_kind(args.get_string("initial", "idle"));
   const std::string scenarios_flag = args.get_string("scenarios", "all");
   job.scenarios = scenarios_flag == "all" ? scenario_names()
-                                          : split_csv(scenarios_flag);
+                                          : split_names(scenarios_flag);
   const NoiseFlags nf = parse_noise_flags(args, demands);
   job.noise = nf.noise;
   job.metrics_gamma = nf.gamma;
-  for (const std::string& name : split_csv(args.get_string("algos", "ant"))) {
+  for (const std::string& name : split_names(args.get_string("algos", "ant"))) {
     job.algos.push_back(
         JobAlgo{.name = name, .gamma = nf.gamma, .epsilon = nf.epsilon});
   }
-  job.metrics = split_csv(args.get_string("metrics", ""));
+  job.metrics = split_names(args.get_string("metrics", ""));
   return job;
 }
 

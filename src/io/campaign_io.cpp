@@ -65,19 +65,6 @@ std::string join_names(const std::vector<std::string>& names) {
   return out;
 }
 
-std::vector<std::string> split_names(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > start) out.push_back(list.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 // %.17g round-trips every finite IEEE double exactly; the merged stats are
 // therefore the same bits the shard computed.
 std::string fmt_f64(double v) {
@@ -235,25 +222,17 @@ void append_result_row(std::string& out, std::size_t flat_index,
   out += "\n";
 }
 
-// Per-replicate rows from the cells' in-memory results (the deprecated
-// keep_results path) or, preferably, replayed from the campaign's binary
-// traces — the two produce bit-identical files, which
-// campaign_trace_test pins.
+// Per-replicate rows replayed from the campaign's binary traces — bit-equal
+// to the live run's results, which campaign_shard_test pins.
 std::string results_csv(const CampaignResult& result,
                         const CampaignConfig& cfg,
                         const std::vector<MetricScalar>& specs) {
   std::string out = results_header(specs) + "\n";
   for (const CampaignCell& cell : result.cells) {
-    if (cfg.keep_results) {
-      for (std::size_t r = 0; r < cell.results.size(); ++r) {
-        append_result_row(out, cell.flat_index, r, cell.results[r], specs);
-      }
-    } else {
-      const std::vector<SimResult> replayed = replay_cell_results(
-          cfg.trace_dir, cell.flat_index, cfg.replicates, result.metrics);
-      for (std::size_t r = 0; r < replayed.size(); ++r) {
-        append_result_row(out, cell.flat_index, r, replayed[r], specs);
-      }
+    const std::vector<SimResult> replayed = replay_cell_results(
+        cfg.trace_dir, cell.flat_index, cfg.replicates, result.metrics);
+    for (std::size_t r = 0; r < replayed.size(); ++r) {
+      append_result_row(out, cell.flat_index, r, replayed[r], specs);
     }
   }
   return out;
@@ -297,19 +276,19 @@ CampaignCell parse_row(const std::string& line,
     cell.metric_stats.push_back(
         stats_from_fields(fields, kRowsFixedColumns + 5 * si, context));
   }
-  // Rebuild the legacy views through the same mapping run_campaign uses:
-  // the restored state is the shard's bits, so mean() reproduces the same
-  // double the shard computed.
-  cell.fill_legacy_views(specs);
   return cell;
 }
 
-void attach_results(CampaignResult& shard, const std::string& content,
+// Checks a results file's shape against the shard's cells: the header, the
+// field count of every row, and exactly `replicates` rows per cell, in
+// replicate order. The values stay in the file — a merged cell is its
+// statistics — but a results file that lies about its shape is refused.
+void verify_results(const CampaignResult& shard, const std::string& content,
                     std::int64_t replicates,
                     const std::vector<MetricScalar>& specs,
                     const std::string& context) {
-  std::map<std::size_t, CampaignCell*> by_index;
-  for (CampaignCell& cell : shard.cells) by_index[cell.flat_index] = &cell;
+  std::map<std::size_t, std::int64_t> rows_seen;
+  for (const CampaignCell& cell : shard.cells) rows_seen[cell.flat_index] = 0;
 
   for (const std::string& line :
        data_lines(content, results_header(specs), context)) {
@@ -323,46 +302,23 @@ void attach_results(CampaignResult& shard, const std::string& content,
     }
     const auto cell_index =
         static_cast<std::size_t>(parse_i64(fields[0], context));
-    const auto it = by_index.find(cell_index);
-    if (it == by_index.end()) {
+    const auto it = rows_seen.find(cell_index);
+    if (it == rows_seen.end()) {
       throw std::runtime_error(context + ": replicate row for unknown cell " +
                                std::to_string(cell_index));
     }
-    const std::int64_t replicate = parse_i64(fields[1], context);
-    if (replicate !=
-        static_cast<std::int64_t>(it->second->results.size())) {
+    if (parse_i64(fields[1], context) != it->second) {
       throw std::runtime_error(context + ": replicate rows for cell " +
                                std::to_string(cell_index) + " out of order");
     }
-    SimResult res;
-    res.rounds = parse_i64(fields[2], context);
-    res.n_ants = parse_i64(fields[3], context);
-    res.total_regret = parse_f64(fields[4], context);
-    res.regret_plus = parse_f64(fields[5], context);
-    res.regret_near = parse_f64(fields[6], context);
-    res.regret_minus = parse_f64(fields[7], context);
-    res.post_warmup_rounds = parse_i64(fields[8], context);
-    res.post_warmup_regret = parse_f64(fields[9], context);
-    res.violation_rounds = parse_i64(fields[10], context);
-    res.switches = parse_i64(fields[11], context);
-    std::istringstream loads(fields[12]);
-    std::string item;
-    while (std::getline(loads, item, ';')) {
-      res.final_loads.push_back(parse_i64(item, context));
-    }
-    for (std::size_t si = 0; si < specs.size(); ++si) {
-      res.metric_names.push_back(specs[si].name);
-      res.metric_values.push_back(
-          parse_f64(fields[kResultsFixedColumns + si], context));
-    }
-    it->second->results.push_back(std::move(res));
+    ++it->second;
   }
 
-  for (const CampaignCell& cell : shard.cells) {
-    if (static_cast<std::int64_t>(cell.results.size()) != replicates) {
+  for (const auto& [cell_index, rows] : rows_seen) {
+    if (rows != replicates) {
       throw std::runtime_error(context + ": cell " +
-                               std::to_string(cell.flat_index) + " has " +
-                               std::to_string(cell.results.size()) + " of " +
+                               std::to_string(cell_index) + " has " +
+                               std::to_string(rows) + " of " +
                                std::to_string(replicates) +
                                " replicate rows");
     }
@@ -520,9 +476,9 @@ std::string write_campaign_shard(const std::string& dir,
   const std::string rows_name = stem + ".csv";
   write_file((fs::path(dir) / rows_name).string(), rows);
 
-  // The per-replicate file rides on either source: in-memory results
-  // (deprecated keep_results) or the campaign's binary traces (trace_dir).
-  const bool want_results = cfg.keep_results || !cfg.trace_dir.empty();
+  // The per-replicate file is replayed from the campaign's binary traces,
+  // so it exists exactly when the campaign wrote them.
+  const bool want_results = !cfg.trace_dir.empty();
   std::string results_name;
   std::uint64_t results_checksum = 0;
   if (want_results) {
@@ -540,8 +496,8 @@ std::string write_campaign_shard(const std::string& dir,
   manifest += "shard_cells " + std::to_string(result.cells.size()) + "\n";
   manifest += "replicates " + std::to_string(cfg.replicates) + "\n";
   manifest += "metrics " + join_names(families) + "\n";
-  // "keep_results" in the manifest means "a results.csv is present",
-  // whichever source produced it — readers only care that the rows exist.
+  // The on-disk key predates trace replay; it means "a results.csv is
+  // present".
   manifest += std::string("keep_results ") + (want_results ? "1" : "0") +
               "\n";
   manifest += "rows " + rows_name + "\n";
@@ -608,10 +564,9 @@ ShardManifest read_shard_manifest(const std::string& path) {
   if (m.metrics.empty()) {
     throw std::runtime_error(path + ": manifest has an empty metric list");
   }
-  m.keep_results = require("keep_results") == "1";
   m.rows_file = require("rows");
   m.rows_checksum = parse_hex(require("rows_checksum"), path);
-  if (m.keep_results) {
+  if (require("keep_results") == "1") {
     m.results_file = require("results");
     m.results_checksum = parse_hex(require("results_checksum"), path);
   }
@@ -654,14 +609,14 @@ CampaignResult read_campaign_shard(const std::string& dir,
                              std::to_string(shard.cells.size()));
   }
 
-  if (manifest.keep_results) {
+  if (!manifest.results_file.empty()) {
     const std::string results_path =
         (fs::path(dir) / manifest.results_file).string();
     const std::string results = read_file(results_path);
     if (rng::hash_string(results) != manifest.results_checksum) {
       throw std::runtime_error(results_path + ": checksum mismatch");
     }
-    attach_results(shard, results, manifest.replicates, specs, results_path);
+    verify_results(shard, results, manifest.replicates, specs, results_path);
   }
   return shard;
 }
@@ -690,7 +645,19 @@ MergedCampaign merge_campaign_dir(const std::string& dir) {
   }
 
   const ShardManifest& first = manifests.front();
+  // The manifests are outside input: nothing is sized from shard_count or
+  // total_cells until they agree with the files actually present. With at
+  // most shard_count manifests, distinct in-range indices (checked below)
+  // cover every shard, so this is also the missing-shard check.
+  if (first.shard_count > manifests.size()) {
+    throw std::runtime_error(
+        "merge_campaign_dir: " + manifest_paths.front() + " claims " +
+        std::to_string(first.shard_count) + " shards, but only " +
+        std::to_string(manifests.size()) +
+        " manifests are present (shards missing from " + dir + ")");
+  }
   std::vector<std::uint8_t> seen(first.shard_count, 0);
+  std::size_t cells = 0;
   for (std::size_t i = 0; i < manifests.size(); ++i) {
     const ShardManifest& m = manifests[i];
     if (m.config_hash != first.config_hash) {
@@ -704,7 +671,7 @@ MergedCampaign merge_campaign_dir(const std::string& dir) {
         m.total_cells != first.total_cells ||
         m.replicates != first.replicates ||
         m.metrics != first.metrics ||
-        m.keep_results != first.keep_results) {
+        m.results_file.empty() != first.results_file.empty()) {
       throw std::runtime_error(manifest_paths[i] +
                                ": shard shape disagrees with " +
                                manifest_paths.front());
@@ -719,14 +686,18 @@ MergedCampaign merge_campaign_dir(const std::string& dir) {
                                std::to_string(m.shard_index));
     }
     seen[m.shard_index] = 1;
-  }
-  for (std::size_t i = 0; i < first.shard_count; ++i) {
-    if (!seen[i]) {
-      throw std::runtime_error("merge_campaign_dir: shard " +
-                               std::to_string(i) + " of " +
-                               std::to_string(first.shard_count) +
-                               " missing from " + dir);
+    if (m.shard_cells > first.total_cells - cells) {
+      throw std::runtime_error(manifest_paths[i] +
+                               ": shard cells exceed total_cells " +
+                               std::to_string(first.total_cells));
     }
+    cells += m.shard_cells;
+  }
+  if (cells != first.total_cells) {
+    throw std::runtime_error(
+        "merge_campaign_dir: shard_cells sum to " + std::to_string(cells) +
+        ", manifests promise total_cells " +
+        std::to_string(first.total_cells) + " in " + dir);
   }
 
   std::vector<CampaignResult> shards;

@@ -17,10 +17,9 @@
 //   shard-<i>-of-<N>.results.csv one row per replicate with the SimResult
 //                               scalar fields, final loads, and one column
 //                               per selected metric scalar. Produced when
-//                               the campaign set trace_dir (rows REPLAYED
-//                               from the binary traces, bit-equal to the
-//                               live run) or the deprecated keep_results
-//                               (rows from the in-memory results).
+//                               the campaign set trace_dir: the rows are
+//                               REPLAYED from the binary traces, bit-equal
+//                               to the live run.
 //
 // Format v2 (the streaming-metrics redesign): columns are named by the
 // metric selection, which is itself folded into campaign_config_hash —
@@ -32,9 +31,11 @@
 // inconsistent (mismatched config hashes, wrong or duplicate shard indices,
 // missing shards, checksum failures) and reassembles the full
 // CampaignResult bit-identical to an unsharded run of the same config —
-// campaign_shard_test pins the byte-equality. The one non-round-tripped
-// field is SimResult::trace: traces are in-memory payloads (consume them in
-// the shard process, or re-run the cell locally — it is deterministic).
+// campaign_shard_test pins the byte-equality. A results.csv is verified
+// (checksum, header, field count, each cell's replicate rows in order) but
+// not parsed into SimResults: a merged cell is its statistics, and the
+// per-replicate data lives in the file itself and in the traces it was
+// replayed from.
 //
 // docs/CAMPAIGNS.md walks the end-to-end workflows (single machine, CI
 // matrix, ad-hoc cluster); the partition/seeding design is in
@@ -61,10 +62,9 @@ struct ShardManifest {
   // Resolved metric family selection the shard was computed with — the key
   // to the data files' dynamic columns.
   std::vector<std::string> metrics;
-  bool keep_results = false;
   std::string rows_file;
   std::uint64_t rows_checksum = 0;  // FNV-1a over the file's bytes
-  std::string results_file;         // empty unless keep_results
+  std::string results_file;         // empty when the shard wrote no results.csv
   std::uint64_t results_checksum = 0;
 };
 
@@ -82,7 +82,8 @@ std::string write_campaign_shard(const std::string& dir,
 ShardManifest read_shard_manifest(const std::string& path);
 
 // Reads one shard's cells back, verifying the data files against the
-// manifest checksums. Throws std::runtime_error on corruption.
+// manifest checksums (and the results file's shape, when present). Throws
+// std::runtime_error on corruption.
 CampaignResult read_campaign_shard(const std::string& dir,
                                    const ShardManifest& manifest);
 
@@ -95,9 +96,12 @@ struct MergedCampaign {
 
 // Scans `dir` for *.manifest files and merges the complete shard set.
 // Refuses (std::runtime_error): no manifests; manifests disagreeing on
-// config_hash, shard_count, total_cells, replicates or keep_results;
-// duplicate or missing shard indices; checksum mismatches. The merged
-// result is bit-identical to the unsharded run of the same config.
+// config_hash, shard_count, total_cells, replicates, metrics or the
+// presence of a results file; a shard_count above the number of manifests
+// found, or shard_cells that do not sum to total_cells (both checked before
+// anything is sized from them); duplicate or missing shard indices; checksum
+// mismatches. The merged result is bit-identical to the unsharded run of
+// the same config.
 MergedCampaign merge_campaign_dir(const std::string& dir);
 
 // Per-cell row codec. --------------------------------------------------------
@@ -118,7 +122,7 @@ std::string shard_rows_header(const std::vector<MetricScalar>& specs);
 std::string encode_cell_row(const CampaignCell& cell,
                             const std::vector<MetricScalar>& specs);
 
-// Parses one row back, legacy views filled. Throws std::runtime_error
+// Parses one row back. Throws std::runtime_error
 // (messages prefixed with `context`) on any malformed field.
 CampaignCell parse_cell_row(const std::string& line,
                             const std::vector<MetricScalar>& specs,

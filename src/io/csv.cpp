@@ -15,6 +15,19 @@ std::string csv_escape(const std::string& cell) {
   return out;
 }
 
+std::vector<std::string> split_names(const std::string& list) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (start <= list.size()) {
+    const std::size_t comma = list.find(',', start);
+    const std::size_t end = comma == std::string::npos ? list.size() : comma;
+    if (end > start) out.push_back(list.substr(start, end - start));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return out;
+}
+
 CsvWriter::CsvWriter(const std::string& path,
                      std::span<const std::string> columns)
     : path_(path), out_(path), columns_(columns.size()) {

@@ -15,6 +15,11 @@ namespace antalloc {
 // depends on both producers escaping identically.
 std::string csv_escape(const std::string& cell);
 
+// Splits a comma-separated name list ("regret,violations"), dropping empty
+// items: "" and ",," yield no names. Shared by the command-line list flags
+// and the shard manifest's metric list.
+std::vector<std::string> split_names(const std::string& list);
+
 class CsvWriter {
  public:
   // Opens (truncates) `path` and writes the header row. Throws on failure.

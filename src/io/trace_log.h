@@ -6,9 +6,9 @@
 // RoundViews, and from there through any Metric observer, bit-equal to the
 // live run. That turns three in-memory-only consumers into disk-backed
 // ones: the engine-parity audit compares traces record by record instead of
-// distribution summaries, campaigns persist per-replicate payloads without
-// CampaignConfig::keep_results, and post-hoc analysis can select metrics
-// AFTER the run instead of re-simulating.
+// distribution summaries, campaigns persist their per-replicate data (the
+// only form it takes — see replay_cell_results), and post-hoc analysis can
+// select metrics AFTER the run instead of re-simulating.
 //
 // ## File layout (all integers little-endian, 8-byte aligned)
 //

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "net/feed.h"
 #include "rng/splitmix.h"
 
 namespace antalloc {
@@ -165,21 +166,9 @@ CampaignResult FeedAssembler::result() const {
   }
   CampaignResult out;
   out.metrics = snapshot_->metrics;
-  const std::vector<MetricScalar> specs = out.scalar_columns();
   out.cells.reserve(cells_.size());
   for (const auto& [flat_index, u] : cells_) {  // map order == flat order
-    CampaignCell cell;
-    cell.flat_index = static_cast<std::size_t>(u.flat_index);
-    cell.scenario = u.scenario;
-    cell.algo = u.algo;
-    cell.noise = u.noise;
-    cell.engine = u.engine;
-    cell.metric_stats.reserve(u.stats.size());
-    for (const RunningStats::State& s : u.stats) {
-      cell.metric_stats.push_back(RunningStats::from_state(s));
-    }
-    cell.fill_legacy_views(specs);
-    out.cells.push_back(std::move(cell));
+    out.cells.push_back(cell_from_update(u));
   }
   return out;
 }

@@ -113,4 +113,9 @@ class JobFeed final : public CampaignProgress {
 // and snapshots, and by net/client.h's reassembly).
 CellUpdate cell_update_from(const CampaignCell& cell);
 
+// Its inverse: the in-process cell back from the wire form, accumulator
+// states restored bit for bit. Used by the client's feed reassembly and the
+// fleet coordinator's fold.
+CampaignCell cell_from_update(const CellUpdate& u);
+
 }  // namespace antalloc

@@ -9,28 +9,6 @@
 
 namespace antalloc {
 
-namespace {
-
-// The wire cell back into the in-process one (the inverse of
-// cell_update_from, matching net/client.h's reassembly exactly).
-CampaignCell cell_from_update(const CellUpdate& u,
-                              std::span<const MetricScalar> specs) {
-  CampaignCell cell;
-  cell.flat_index = static_cast<std::size_t>(u.flat_index);
-  cell.scenario = u.scenario;
-  cell.algo = u.algo;
-  cell.noise = u.noise;
-  cell.engine = u.engine;
-  cell.metric_stats.reserve(u.stats.size());
-  for (const RunningStats::State& s : u.stats) {
-    cell.metric_stats.push_back(RunningStats::from_state(s));
-  }
-  cell.fill_legacy_views(specs);
-  return cell;
-}
-
-}  // namespace
-
 std::int64_t CoordinatorServer::now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -200,7 +178,7 @@ void CoordinatorServer::handle_cell_result(std::uint64_t conn_id,
       res.cell.stats.size() != specs_.size()) {
     throw ProtocolTornPayloadError("CellResult shape contradicts campaign");
   }
-  fold_cell(cell_from_update(res.cell, specs_));
+  fold_cell(cell_from_update(res.cell));
 }
 
 void CoordinatorServer::fold_cell(CampaignCell cell) {

@@ -53,23 +53,29 @@ std::uint64_t mix_u64(std::uint64_t h, std::uint64_t v) {
 
 }  // namespace
 
-void CampaignCell::fill_legacy_views(std::span<const MetricScalar> specs) {
-  for (std::size_t si = 0; si < specs.size(); ++si) {
-    const std::string& s = specs[si].name;
-    if (s == "regret") {
-      regret = metric_stats[si];
-    } else if (s == "violations") {
-      violations = metric_stats[si];
-    } else if (s == "switches_per_ant_round") {
-      switches_per_ant_round = metric_stats[si].mean();
-    }
-  }
-}
-
 std::vector<MetricScalar> CampaignResult::scalar_columns() const {
   // metric_scalar_columns resolves an empty selection to the default set,
   // which is also the right reading for hand-built results.
   return metric_scalar_columns(metrics);
+}
+
+const RunningStats& CampaignResult::stat(const CampaignCell& cell,
+                                         std::string_view scalar) const {
+  const std::vector<MetricScalar> specs = scalar_columns();
+  if (cell.metric_stats.size() != specs.size()) {
+    throw std::logic_error(
+        "CampaignResult::stat: cell metric_stats do not match the result's "
+        "metric selection");
+  }
+  std::string known;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].name == scalar) return cell.metric_stats[i];
+    if (!known.empty()) known += ", ";
+    known += specs[i].name;
+  }
+  throw std::invalid_argument("CampaignResult::stat: no scalar '" +
+                              std::string(scalar) + "' (selected: " + known +
+                              ")");
 }
 
 Table CampaignResult::table() const {
@@ -130,6 +136,11 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
   }
   if (cfg.replicates < 1) {
     throw std::invalid_argument("run_campaign: replicates >= 1");
+  }
+  if (cfg.metrics.trace_stride != 0) {
+    throw std::invalid_argument(
+        "run_campaign: metrics.trace_stride must be 0 (cells keep only "
+        "statistics; a strided trace comes from replaying trace_dir)");
   }
   validate_shard(cfg.shard);
 
@@ -309,14 +320,9 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         cell.metric_stats[k].add(r.metric(scalar_specs[k].name));
       }
     }
-    cell.fill_legacy_views(scalar_specs);
-    if (cfg.keep_results) {
-      cell.results = std::move(slots[ci]);
-    } else {
-      // Release replicate memory as cells retire instead of holding every
-      // slot until the shard finishes.
-      slots[ci] = {};
-    }
+    // Release replicate memory as cells retire instead of holding every
+    // slot until the shard finishes.
+    slots[ci] = {};
     const std::size_t done = cells_done.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (cfg.progress != nullptr) {
       // Serialize observer calls (the contract CampaignProgress documents);
@@ -461,7 +467,7 @@ std::uint64_t campaign_config_hash(const CampaignConfig& cfg) {
       resolve_metric_names(cfg.metrics.names);
   h = mix_u64(h, families.size());
   for (const std::string& name : families) h = mix_str(h, name);
-  h = mix_u64(h, cfg.keep_results ? 1u : 0u);
+  h = mix_u64(h, 0u);  // a retired switch's slot: keeps existing hashes
   h = mix_u64(h, cfg.pair_noise_seeds ? 1u : 0u);
   return h;
 }
@@ -579,8 +585,6 @@ CampaignResult merge_campaign_shards(std::vector<CampaignResult> shards,
   }
   IncrementalMerger merger(total_cells, std::move(metrics),
                            IncrementalMerger::Duplicates::kReject);
-  // Per-replicate payloads (keep_results) ride through the merger untouched:
-  // add() moves the whole cell, results vector included.
   for (CampaignResult& shard : shards) {
     for (CampaignCell& cell : shard.cells) {
       try {

@@ -8,7 +8,8 @@
 // CampaignConfig (lists of scenarios from the scenario registry, AlgoConfigs
 // from the algorithm registry, named noise factories, plus the shared colony
 // shape), call run_campaign, and read back one CampaignCell per matrix entry
-// with replicate statistics and (optionally) the full SimResults.
+// with its replicate statistics. Per-replicate data is a trace_dir away:
+// replay_cell_results rebuilds every replicate's SimResult from disk.
 //
 // Scheduling: run_campaign flattens the shard's (cell × replicate) space
 // into one task graph — every replicate of every owned cell is an
@@ -36,7 +37,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <span>
+#include <string_view>
 #include <string>
 #include <vector>
 
@@ -94,7 +95,7 @@ class CampaignProgress {
     std::size_t cells_in_flight = 0;  // >=1 replicate started, not yet folded
     std::int64_t replicates_done = 0; // replicates finished across all cells
     std::uint64_t steals = 0;         // executor steals since campaign start
-    // The cell that just folded, statistics final, legacy views filled.
+    // The cell that just folded, statistics final.
     // Valid only for the duration of the callback (it points into the
     // result under construction) — copy what you need. Lets a streaming
     // consumer (the daemon's live metric feed, net/feed.h) forward folded
@@ -124,6 +125,8 @@ struct CampaignConfig {
   SamplingMode sampling = SamplingMode::kBatched;
   // metrics.gamma <= 0 inherits each algorithm's learning rate; warmup 0
   // defaults to rounds/2 so post-warmup regret is meaningful out of the box.
+  // metrics.trace_stride must stay 0: cells keep only statistics, so
+  // run_campaign refuses a stride (replay trace_dir for a strided trace).
   // metrics.names selects the streaming metrics (metrics/metric.h) every
   // cell computes: their scalars become the per-cell statistics, the
   // table()/to_csv() columns and the shard CSV columns. Empty = the default
@@ -132,22 +135,14 @@ struct CampaignConfig {
   // campaign_config_hash, so shards with different metric selections refuse
   // to merge (and an explicit default list hashes like an empty one).
   MetricsRecorder::Options metrics{};
-  // DEPRECATED compatibility shim — prefer trace_dir. Keeps the full
-  // per-replicate SimResults in memory in each cell. Every distribution-
-  // level consumer (the shard results.csv, parity audits) now reads
-  // per-replicate data back from binary traces instead, which costs O(1)
-  // memory per replicate during the run and lets metrics be re-selected
-  // after the fact; this switch remains only for bespoke in-process callers
-  // that want SimResult objects without a disk round-trip.
-  bool keep_results = false;
   // When non-empty: persist every replicate's per-round stream as a binary
   // trace (io/trace_log.h) named trace_file_name(flat_index, replicate)
   // under this directory (created if missing), stamped with this campaign's
-  // campaign_config_hash. write_campaign_shard then produces the
-  // per-replicate results.csv by REPLAYING these traces — bit-equal to the
-  // live run's results — so keep_results is no longer needed for it.
-  // Excluded from campaign_config_hash, like the shard spec and pool: a
-  // trace tap must not change any number.
+  // campaign_config_hash. This is the only source of per-replicate campaign
+  // data: replay_cell_results rebuilds each replicate's SimResult from it,
+  // bit-equal to the live run, and write_campaign_shard replays it into the
+  // per-replicate results.csv. Excluded from campaign_config_hash, like the
+  // shard spec and pool: a trace tap must not change any number.
   std::string trace_dir;
   // Common random numbers across the noise axis: cells differing only in
   // noise reuse the same per-replicate seeds, so noise sweeps (rho, the
@@ -175,7 +170,8 @@ struct CampaignConfig {
   const std::atomic<bool>* cancel = nullptr;
 };
 
-// One (scenario, algo, noise) entry of the matrix.
+// One (scenario, algo, noise) entry of the matrix: its labels, the engine it
+// ran on, and its replicate statistics.
 struct CampaignCell {
   // Position in the full scenario-major matrix (stable across sharding —
   // what the merge sorts by to restore unsharded cell order).
@@ -185,22 +181,9 @@ struct CampaignCell {
   std::string noise;
   Engine engine = Engine::kAggregate;  // the engine the cell resolved to
   // Replicate statistics of every selected metric scalar, parallel to
-  // CampaignResult::scalar_columns() — the primary, selection-driven view.
+  // CampaignResult::scalar_columns(); CampaignResult::stat looks one up by
+  // name.
   std::vector<RunningStats> metric_stats;
-  // Legacy views of the three historical statistics, filled whenever the
-  // corresponding scalar is selected (always true for the default set):
-  // regret = the "regret" scalar's stats, violations = "violations",
-  // switches_per_ant_round = the "switches_per_ant_round" replicate mean.
-  RunningStats regret;
-  RunningStats violations;
-  double switches_per_ant_round = 0.0;
-  std::vector<SimResult> results;  // per replicate; empty unless kept
-
-  // (Re)derives the legacy views above from metric_stats, whose layout is
-  // `specs`. The single source of the scalar-name -> legacy-field mapping:
-  // run_campaign and the shard reader both go through it, which is what
-  // keeps merged and unsharded legacy fields bit-identical.
-  void fill_legacy_views(std::span<const MetricScalar> specs);
 };
 
 struct CampaignResult {
@@ -212,6 +195,12 @@ struct CampaignResult {
   // Flattened scalar column specs for `metrics` — the layout of every
   // cell's metric_stats and of the table()/to_csv()/shard CSV columns.
   std::vector<MetricScalar> scalar_columns() const;
+
+  // `cell`'s statistics for the scalar named `scalar` (e.g. "regret",
+  // "switches_per_ant_round"). Throws std::invalid_argument naming the
+  // selected scalars when `scalar` is not one of them.
+  const RunningStats& stat(const CampaignCell& cell,
+                           std::string_view scalar) const;
 
   // Tidy results: one row per cell with labels plus, per selected scalar,
   // the replicate mean (and a ci95 column where the metric declares one).
@@ -264,11 +253,11 @@ std::vector<std::size_t> shard_cell_indices(std::size_t total_cells,
 // (demands + active sets), engine, colony shape, seed, replicates, metrics
 // options INCLUDING the resolved metric-name selection (so shards computed
 // with different metric sets — hence different columns — refuse to merge),
-// and the seed-pairing/keep_results switches. Deliberately excluded:
-// the shard spec, executor and progress observer (they must not affect
-// results — that is the whole point), and the noise factories' behavior (closures cannot be
-// hashed; the noise NAME stands in for it, so give distinct noise configs
-// distinct names). Two shard files merge only if their hashes agree.
+// and the seed-pairing switch. Deliberately excluded: the shard spec,
+// executor, progress observer and trace_dir (they must not affect results —
+// that is the whole point), and the noise factories' behavior (closures
+// cannot be hashed; the noise NAME stands in for it, so give distinct noise
+// configs distinct names). Two shard files merge only if their hashes agree.
 std::uint64_t campaign_config_hash(const CampaignConfig& cfg);
 
 // Replays cell `flat_index`'s per-replicate traces (written by a
@@ -335,8 +324,8 @@ class IncrementalMerger {
 // flat_index). Requires the union of cell indices to be exactly
 // {0, …, total_cells-1} with no duplicates; throws std::invalid_argument
 // otherwise. The output is bit-identical to what the unsharded run_campaign
-// would have produced, including per-replicate results when keep_results
-// was on. (Implemented on IncrementalMerger with Duplicates::kReject.)
+// would have produced. (Implemented on IncrementalMerger with
+// Duplicates::kReject.)
 CampaignResult merge_campaign_shards(std::vector<CampaignResult> shards,
                                      std::size_t total_cells);
 

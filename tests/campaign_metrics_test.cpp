@@ -17,9 +17,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using test_util::expect_results_row;
 using test_util::expect_stats_identical;
+using test_util::live_cell_results;
 using test_util::make_temp_dir;
 using test_util::metric_matrix;
+using test_util::read_results_rows;
 
 TEST(CampaignMetrics, CellsCarryPerScalarStats) {
   const auto cfg =
@@ -35,10 +38,9 @@ TEST(CampaignMetrics, CellsCarryPerScalarStats) {
     for (const RunningStats& stats : cell.metric_stats) {
       EXPECT_EQ(stats.count(), cfg.replicates);
     }
-    // The "regret" scalar mirrors into the legacy field; the unselected
-    // legacy statistics stay empty.
-    expect_stats_identical(cell.regret, cell.metric_stats[0]);
-    EXPECT_EQ(cell.violations.count(), 0);
+    // Lookup by name follows the selection; an unselected scalar throws.
+    expect_stats_identical(result.stat(cell, "regret"), cell.metric_stats[0]);
+    EXPECT_THROW(result.stat(cell, "violations"), std::invalid_argument);
   }
   // The table grows one column per scalar (plus regret's ci95).
   const std::string header =
@@ -60,9 +62,11 @@ TEST(CampaignMetrics, DefaultSelectionKeepsHistoricalColumns) {
             "violations_mean,switches_per_ant_round");
   for (const CampaignCell& cell : result.cells) {
     ASSERT_EQ(cell.metric_stats.size(), 3u);
-    expect_stats_identical(cell.regret, cell.metric_stats[0]);
-    expect_stats_identical(cell.violations, cell.metric_stats[1]);
-    EXPECT_EQ(cell.switches_per_ant_round, cell.metric_stats[2].mean());
+    expect_stats_identical(result.stat(cell, "regret"), cell.metric_stats[0]);
+    expect_stats_identical(result.stat(cell, "violations"),
+                           cell.metric_stats[1]);
+    expect_stats_identical(result.stat(cell, "switches_per_ant_round"),
+                           cell.metric_stats[2]);
   }
 }
 
@@ -89,15 +93,18 @@ TEST(CampaignMetrics, HashFoldsResolvedSelection) {
 }
 
 TEST(CampaignMetrics, CustomSelectionShardRoundTripBitIdentical) {
-  const std::string dir = make_temp_dir("roundtrip");
+  const std::string dir = make_temp_dir("metrics_roundtrip");
   // regret-split included deliberately: its scalars share names with the
   // legacy SimResult fields, so this pins that the results CSV keeps the
   // two column families distinct.
   auto cfg = metric_matrix({"regret", "switches", "regret-split",
                             "convergence", "oscillation"});
-  cfg.keep_results = true;
   const CampaignResult full = run_campaign(cfg);
 
+  // The shards trace into the shard directory (file names are keyed by
+  // flat index, so the three shards share it), which makes every shard
+  // write a results.csv the merge verifies.
+  cfg.trace_dir = (fs::path(dir) / "traces").string();
   for (std::size_t i = 0; i < 3; ++i) {
     cfg.shard = {i, 3};
     write_campaign_shard(dir, cfg, run_campaign(cfg));
@@ -107,6 +114,7 @@ TEST(CampaignMetrics, CustomSelectionShardRoundTripBitIdentical) {
   EXPECT_EQ(merged.config_hash, campaign_config_hash(cfg));
   EXPECT_EQ(merged.result.metrics, full.metrics);
 
+  const auto rows = read_results_rows(dir, full.scalar_columns());
   ASSERT_EQ(merged.result.cells.size(), full.cells.size());
   for (std::size_t i = 0; i < full.cells.size(); ++i) {
     SCOPED_TRACE("cell " + std::to_string(i));
@@ -116,13 +124,15 @@ TEST(CampaignMetrics, CustomSelectionShardRoundTripBitIdentical) {
     for (std::size_t si = 0; si < x.metric_stats.size(); ++si) {
       expect_stats_identical(x.metric_stats[si], y.metric_stats[si]);
     }
-    EXPECT_EQ(x.switches_per_ant_round, y.switches_per_ant_round);
-    // Per-replicate scalar maps round-trip through the results CSV.
-    ASSERT_EQ(x.results.size(), y.results.size());
-    for (std::size_t r = 0; r < x.results.size(); ++r) {
-      EXPECT_EQ(x.results[r].metric_names, y.results[r].metric_names);
-      EXPECT_EQ(x.results[r].metric_values, y.results[r].metric_values);
-      EXPECT_EQ(x.results[r].final_loads, y.results[r].final_loads);
+    // Per-replicate rows: the shards' results files hold each replicate's
+    // live result, fixed fields and scalar columns alike.
+    const std::vector<SimResult> live = live_cell_results(cfg, y.flat_index);
+    ASSERT_EQ(live.size(), static_cast<std::size_t>(cfg.replicates));
+    for (std::size_t r = 0; r < live.size(); ++r) {
+      SCOPED_TRACE("replicate " + std::to_string(r));
+      const auto row = rows.find({y.flat_index, r});
+      ASSERT_NE(row, rows.end());
+      expect_results_row(row->second, live[r], full.scalar_columns());
     }
   }
   EXPECT_EQ(merged.result.to_csv(), full.to_csv());
@@ -184,7 +194,7 @@ TEST(CampaignMetrics, PreRedesignShardDirectoryGetsVersionError) {
 }
 
 TEST(CampaignMetrics, WriteRefusesResultFromDifferentSelection) {
-  const std::string dir = make_temp_dir("foreign");
+  const std::string dir = make_temp_dir("metrics_foreign");
   auto ran = metric_matrix({"regret", "convergence"});
   const CampaignResult result = run_campaign(ran);
   auto other = metric_matrix({"regret", "oscillation"});

@@ -18,7 +18,6 @@
 #include "metrics/metric.h"
 #include "noise/sigmoid.h"
 #include "parallel/task_graph.h"
-#include "rng/splitmix.h"
 #include "sim/campaign.h"
 #include "testing_util.h"
 
@@ -45,30 +44,14 @@ CampaignResult reference_sequential(const CampaignConfig& cfg) {
         if (!shard_owns(cfg.shard, flat)) continue;
         const Scenario& scenario = cfg.scenarios[si];
         const NoiseSpec& noise = cfg.noises[ni];
-
-        ExperimentConfig ecfg;
-        ecfg.algo = cfg.algos[ai];
-        ecfg.n_ants = cfg.n_ants;
-        ecfg.rounds = cfg.rounds;
-        ecfg.seed = rng::hash_words(cfg.seed, si, ai,
-                                    cfg.pair_noise_seeds ? 0 : ni);
-        ecfg.initial = scenario.initial;
-        ecfg.initial_loads = scenario.initial_loads;
-        ecfg.metrics = cfg.metrics;
-        ecfg.metrics.names = families;
-        ecfg.sampling = cfg.sampling;
-        if (ecfg.metrics.warmup == 0) ecfg.metrics.warmup = cfg.rounds / 2;
+        const ExperimentConfig ecfg = test_util::cell_experiment(cfg, si, ai, ni);
 
         CampaignCell cell;
         cell.flat_index = flat;
         cell.scenario = scenario.name;
         cell.algo = cfg.algos[ai].name;
         cell.noise = noise.name;
-        {
-          const auto probe = noise.make();
-          cell.engine = resolve_engine(cfg.engine, ecfg.algo, *probe);
-        }
-        ecfg.engine = cell.engine;
+        cell.engine = ecfg.engine;
 
         cell.metric_stats.assign(specs.size(), RunningStats{});
         for (std::int64_t rep = 0; rep < cfg.replicates; ++rep) {
@@ -78,7 +61,6 @@ CampaignResult reference_sequential(const CampaignConfig& cfg) {
             cell.metric_stats[k].add(r.metric(specs[k].name));
           }
         }
-        cell.fill_legacy_views(specs);
         out.cells.push_back(std::move(cell));
       }
     }

@@ -1,15 +1,19 @@
 // Campaign sharding: the partition function's disjoint-union contract, the
 // load-bearing bit-identity of merged shards vs the unsharded run (in memory
-// and through the CSV/manifest disk round trip), and the merge's refusal of
-// mismatched, incomplete or corrupted shard sets.
+// and through the CSV/manifest disk round trip), the traced per-replicate
+// path (trace replay and the results.csv it produces), and the merge's
+// refusal of mismatched, incomplete, corrupted or lying shard sets.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 
 #include "io/campaign_io.h"
+#include "rng/splitmix.h"
 #include "sim/campaign.h"
 #include "testing_util.h"
 
@@ -18,8 +22,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using test_util::expect_results_row;
+using test_util::expect_stats_identical;
+using test_util::live_cell_results;
 using test_util::make_temp_dir;
+using test_util::read_results_rows;
 using test_util::shard_matrix;
+using test_util::small_matrix;
 
 CampaignResult run_all_shards_merged(CampaignConfig cfg, std::size_t count) {
   std::vector<CampaignResult> shards;
@@ -30,20 +39,10 @@ CampaignResult run_all_shards_merged(CampaignConfig cfg, std::size_t count) {
   return merge_campaign_shards(std::move(shards), campaign_total_cells(cfg));
 }
 
-void expect_stats_identical(const RunningStats& a, const RunningStats& b) {
-  const auto sa = a.state();
-  const auto sb = b.state();
-  EXPECT_EQ(sa.count, sb.count);
-  EXPECT_EQ(sa.mean, sb.mean);
-  EXPECT_EQ(sa.m2, sb.m2);
-  EXPECT_EQ(sa.min, sb.min);
-  EXPECT_EQ(sa.max, sb.max);
-}
-
-// Bit-identical over everything the disk format round-trips (the whole
-// CampaignResult minus per-replicate traces, which are in-memory only).
-void expect_bit_identical(const CampaignResult& a, const CampaignResult& b,
-                          bool compare_results) {
+// Bit-identical over the whole CampaignResult: labels, engine and every
+// selected scalar's accumulator state.
+void expect_bit_identical(const CampaignResult& a, const CampaignResult& b) {
+  EXPECT_EQ(a.metrics, b.metrics);
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
     SCOPED_TRACE("cell " + std::to_string(i));
@@ -54,26 +53,10 @@ void expect_bit_identical(const CampaignResult& a, const CampaignResult& b,
     EXPECT_EQ(x.algo, y.algo);
     EXPECT_EQ(x.noise, y.noise);
     EXPECT_EQ(x.engine, y.engine);
-    expect_stats_identical(x.regret, y.regret);
-    expect_stats_identical(x.violations, y.violations);
-    EXPECT_EQ(x.switches_per_ant_round, y.switches_per_ant_round);
-    if (compare_results) {
-      ASSERT_EQ(x.results.size(), y.results.size());
-      for (std::size_t r = 0; r < x.results.size(); ++r) {
-        const SimResult& u = x.results[r];
-        const SimResult& v = y.results[r];
-        EXPECT_EQ(u.rounds, v.rounds);
-        EXPECT_EQ(u.n_ants, v.n_ants);
-        EXPECT_EQ(u.total_regret, v.total_regret);
-        EXPECT_EQ(u.regret_plus, v.regret_plus);
-        EXPECT_EQ(u.regret_near, v.regret_near);
-        EXPECT_EQ(u.regret_minus, v.regret_minus);
-        EXPECT_EQ(u.post_warmup_rounds, v.post_warmup_rounds);
-        EXPECT_EQ(u.post_warmup_regret, v.post_warmup_regret);
-        EXPECT_EQ(u.violation_rounds, v.violation_rounds);
-        EXPECT_EQ(u.switches, v.switches);
-        EXPECT_EQ(u.final_loads, v.final_loads);
-      }
+    ASSERT_EQ(x.metric_stats.size(), y.metric_stats.size());
+    for (std::size_t si = 0; si < x.metric_stats.size(); ++si) {
+      SCOPED_TRACE("scalar " + std::to_string(si));
+      expect_stats_identical(x.metric_stats[si], y.metric_stats[si]);
     }
   }
   // And the rendered artifact is the same bytes.
@@ -132,20 +115,22 @@ TEST(CampaignShard, ShardRunsOnlyItsCells) {
     const CampaignCell& ref = full.cells[cell.flat_index];
     EXPECT_EQ(cell.scenario, ref.scenario);
     EXPECT_EQ(cell.algo, ref.algo);
-    expect_stats_identical(cell.regret, ref.regret);
+    ASSERT_EQ(cell.metric_stats.size(), ref.metric_stats.size());
+    for (std::size_t si = 0; si < cell.metric_stats.size(); ++si) {
+      expect_stats_identical(cell.metric_stats[si], ref.metric_stats[si]);
+    }
   }
 }
 
 TEST(CampaignShard, MergedShardsBitIdenticalToUnsharded) {
   auto cfg = shard_matrix();
-  cfg.keep_results = true;
   const CampaignResult full = run_campaign(cfg);
   // N = 1 (degenerate), 3 (even: 6 % 3 = 0) and 5 (ragged: 6 % 5 = 1, so
   // shard 0 owns two cells and shards 1-4 own one each).
   for (const std::size_t count : {1u, 3u, 5u}) {
     SCOPED_TRACE(std::to_string(count) + " shards");
     const CampaignResult merged = run_all_shards_merged(cfg, count);
-    expect_bit_identical(merged, full, /*compare_results=*/true);
+    expect_bit_identical(merged, full);
   }
 }
 
@@ -200,12 +185,25 @@ TEST(ConfigHash, SensitiveToResultsAffectingFieldsOnly) {
   auto sharded = cfg;
   sharded.shard = {2, 5};
   EXPECT_EQ(campaign_config_hash(sharded), base);
+
+  // Nor where traces land.
+  auto traced = cfg;
+  traced.trace_dir = "traces";
+  EXPECT_EQ(campaign_config_hash(traced), base);
+}
+
+TEST(ConfigHash, PinnedByValue) {
+  // Literal fingerprints of two fixed configs. Every shard file and trace
+  // on disk is stamped with this hash, so any change to what it mixes (or
+  // in what order) must be a deliberate format bump, never a side effect of
+  // refactoring the config.
+  EXPECT_EQ(campaign_config_hash(small_matrix()), 0xafeb77fded6dbb8fULL);
+  EXPECT_EQ(campaign_config_hash(shard_matrix()), 0xb381dc3f65df0a6cULL);
 }
 
 TEST(CampaignShardIo, DiskRoundTripBitIdentical) {
   const std::string dir = make_temp_dir("roundtrip");
   auto cfg = shard_matrix();
-  cfg.keep_results = true;
   const CampaignResult full = run_campaign(cfg);
 
   for (std::size_t i = 0; i < 3; ++i) {
@@ -218,7 +216,125 @@ TEST(CampaignShardIo, DiskRoundTripBitIdentical) {
   EXPECT_EQ(merged.total_cells, 6u);
   cfg.shard = {};
   EXPECT_EQ(merged.config_hash, campaign_config_hash(cfg));
-  expect_bit_identical(merged.result, full, /*compare_results=*/true);
+  expect_bit_identical(merged.result, full);
+  fs::remove_all(dir);
+}
+
+// The per-replicate half of a campaign exists only as traces: each cell's
+// replay, folded in replicate order, must reproduce the live statistics bit
+// for bit, and every column of the results.csv replayed from them must hold
+// the live run_replicate result of its (cell, replicate), and the traced
+// shards must survive the merge's checks.
+TEST(CampaignShardIo, TracedShardsReplayToLiveStats) {
+  const std::string dir = make_temp_dir("traced");
+  auto cfg = shard_matrix();
+  const CampaignResult full = run_campaign(cfg);
+  const std::vector<MetricScalar> specs = full.scalar_columns();
+
+  cfg.trace_dir = (fs::path(dir) / "traces").string();
+  for (std::size_t i = 0; i < 3; ++i) {
+    cfg.shard = {i, 3};
+    const std::string manifest =
+        write_campaign_shard(dir, cfg, run_campaign(cfg));
+    EXPECT_FALSE(read_shard_manifest(manifest).results_file.empty());
+  }
+
+  const auto rows = read_results_rows(dir, specs);
+  EXPECT_EQ(rows.size(),
+            full.cells.size() * static_cast<std::size_t>(cfg.replicates));
+  for (const CampaignCell& cell : full.cells) {
+    SCOPED_TRACE("cell " + std::to_string(cell.flat_index));
+    // Replay vs live, every scalar of every cell.
+    const std::vector<SimResult> replicates = replay_cell_results(
+        cfg.trace_dir, cell.flat_index, cfg.replicates, full.metrics);
+    ASSERT_EQ(replicates.size(), static_cast<std::size_t>(cfg.replicates));
+    for (std::size_t si = 0; si < specs.size(); ++si) {
+      RunningStats folded;
+      for (const SimResult& r : replicates) folded.add(r.metric(specs[si].name));
+      expect_stats_identical(folded, cell.metric_stats[si]);
+    }
+    // The results files vs run_replicate, every column of every row.
+    const std::vector<SimResult> live = live_cell_results(cfg, cell.flat_index);
+    for (std::size_t r = 0; r < live.size(); ++r) {
+      SCOPED_TRACE("replicate " + std::to_string(r));
+      const auto row = rows.find({cell.flat_index, r});
+      ASSERT_NE(row, rows.end());
+      expect_results_row(row->second, live[r], specs);
+    }
+  }
+
+  const MergedCampaign merged = merge_campaign_dir(dir);
+  expect_bit_identical(merged.result, full);
+  fs::remove_all(dir);
+}
+
+// Rewrites one "key value" line of a manifest.
+void set_manifest_value(const std::string& path, const std::string& key,
+                        const std::string& value) {
+  std::ifstream in(path);
+  std::string content;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(key + " ", 0) == 0) line = key + " " + value;
+    content += line + "\n";
+  }
+  in.close();
+  std::ofstream(path) << content;
+}
+
+TEST(CampaignShardIo, RejectsResultsFileWithWrongShape) {
+  // The results file is checked, not parsed: a corrupted file fails its
+  // checksum, and one whose checksum was re-stamped still has to hold
+  // exactly `replicates` rows per cell.
+  const std::string dir = make_temp_dir("results_shape");
+  auto cfg = shard_matrix();
+  cfg.trace_dir = (fs::path(dir) / "traces").string();
+  const std::string manifest_path =
+      write_campaign_shard(dir, cfg, run_campaign(cfg));
+  EXPECT_NO_THROW(merge_campaign_dir(dir));
+
+  const std::string results_path =
+      (fs::path(dir) / read_shard_manifest(manifest_path).results_file)
+          .string();
+  std::ifstream in(results_path);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  in.close();
+  // Drop the last replicate row.
+  content.pop_back();
+  content.erase(content.rfind('\n') + 1);
+  std::ofstream(results_path, std::ios::binary) << content;
+  EXPECT_THROW(merge_campaign_dir(dir), std::runtime_error);  // checksum
+
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(rng::hash_string(content)));
+  set_manifest_value(manifest_path, "results_checksum", hex);
+  try {
+    merge_campaign_dir(dir);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("replicate rows"), std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(dir);
+}
+
+TEST(CampaignShardIo, RejectsLyingManifestBeforeAllocating) {
+  // A manifest's shard_count and total_cells size the merge's bookkeeping;
+  // absurd values must be refused by name, not crash the merge with
+  // std::bad_alloc.
+  const std::string dir = make_temp_dir("lying");
+  auto cfg = shard_matrix();
+  const std::string manifest_path =
+      write_campaign_shard(dir, cfg, run_campaign(cfg));
+  EXPECT_NO_THROW(merge_campaign_dir(dir));
+
+  set_manifest_value(manifest_path, "shard_count", "1000000000000");
+  EXPECT_THROW(merge_campaign_dir(dir), std::runtime_error);
+
+  set_manifest_value(manifest_path, "shard_count", "1");
+  set_manifest_value(manifest_path, "total_cells", "2000000000");
+  EXPECT_THROW(merge_campaign_dir(dir), std::runtime_error);
   fs::remove_all(dir);
 }
 

@@ -3,6 +3,7 @@
 // threads execute the matrix.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 
 #include "noise/correlated.h"
@@ -14,11 +15,17 @@
 namespace antalloc {
 namespace {
 
+using test_util::make_temp_dir;
 using test_util::small_matrix;
+
+// Replicate mean of cell `i`'s "regret" scalar.
+double mean_regret(const CampaignResult& result, std::size_t i) {
+  return result.stat(result.cells[i], "regret").mean();
+}
 
 TEST(Campaign, MatrixShapeAndLabels) {
   auto cfg = small_matrix();
-  cfg.keep_results = true;
+  cfg.trace_dir = make_temp_dir("campaign_shape");
   const auto result = run_campaign(cfg);
   ASSERT_EQ(result.cells.size(), 4u);  // 2 scenarios x 2 algos x 1 noise
   // Scenario-major, then algo, then noise.
@@ -29,10 +36,13 @@ TEST(Campaign, MatrixShapeAndLabels) {
   for (const auto& cell : result.cells) {
     EXPECT_EQ(cell.noise, "sigmoid");
     EXPECT_EQ(cell.engine, Engine::kAggregate);  // auto + iid noise + kernels
-    EXPECT_EQ(cell.regret.count(), 3);
-    ASSERT_EQ(cell.results.size(), 3u);
-    EXPECT_GT(cell.results[0].total_regret, 0.0);
+    EXPECT_EQ(result.stat(cell, "regret").count(), 3);
+    const std::vector<SimResult> replicates =
+        replay_cell_results(cfg.trace_dir, cell.flat_index, cfg.replicates);
+    ASSERT_EQ(replicates.size(), 3u);
+    EXPECT_GT(replicates[0].total_regret, 0.0);
   }
+  std::filesystem::remove_all(cfg.trace_dir);
   // find() addresses cells by label.
   EXPECT_NE(result.find("", "trivial"), nullptr);
   EXPECT_EQ(result.find("", "oracle"), nullptr);
@@ -50,9 +60,9 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
 
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.cells[i].regret.mean(), b.cells[i].regret.mean()) << i;
-    EXPECT_DOUBLE_EQ(a.cells[i].violations.mean(),
-                     b.cells[i].violations.mean())
+    EXPECT_DOUBLE_EQ(mean_regret(a, i), mean_regret(b, i)) << i;
+    EXPECT_DOUBLE_EQ(a.stat(a.cells[i], "violations").mean(),
+                     b.stat(b.cells[i], "violations").mean())
         << i;
   }
   // And the rendered artifacts match byte for byte.
@@ -70,7 +80,7 @@ TEST(Campaign, CellsAreSeedSeparated) {
   const auto result = run_campaign(cfg);
   ASSERT_EQ(result.cells.size(), 2u);
   EXPECT_EQ(result.cells[0].scenario, result.cells[1].scenario);
-  EXPECT_NE(result.cells[0].regret.mean(), result.cells[1].regret.mean());
+  EXPECT_NE(mean_regret(result, 0), mean_regret(result, 1));
 }
 
 TEST(Campaign, PairedNoiseSeedsShareTrialSeeds) {
@@ -84,11 +94,10 @@ TEST(Campaign, PairedNoiseSeedsShareTrialSeeds) {
   cfg.pair_noise_seeds = true;
   const auto result = run_campaign(cfg);
   ASSERT_EQ(result.cells.size(), 4u);  // 2 scenarios x 1 algo x 2 noises
-  EXPECT_DOUBLE_EQ(result.cells[0].regret.mean(),
-                   result.cells[1].regret.mean());
+  EXPECT_DOUBLE_EQ(mean_regret(result, 0), mean_regret(result, 1));
   cfg.pair_noise_seeds = false;
   const auto unpaired = run_campaign(cfg);
-  EXPECT_NE(unpaired.cells[0].regret.mean(), unpaired.cells[1].regret.mean());
+  EXPECT_NE(mean_regret(unpaired, 0), mean_regret(unpaired, 1));
 }
 
 TEST(Campaign, NoiseAxisAndEngineResolution) {
@@ -107,6 +116,25 @@ TEST(Campaign, NoiseAxisAndEngineResolution) {
   ASSERT_NE(corr, nullptr);
   EXPECT_EQ(iid->engine, Engine::kAggregate);
   EXPECT_EQ(corr->engine, Engine::kAgent);  // non-iid noise forces per-ant
+}
+
+TEST(Campaign, StatLooksUpScalarsByName) {
+  const auto result = run_campaign(small_matrix());
+  const CampaignCell& cell = result.cells[0];
+  // Default selection: regret, violations, switches_per_ant_round.
+  EXPECT_EQ(&result.stat(cell, "regret"), &cell.metric_stats[0]);
+  EXPECT_EQ(&result.stat(cell, "violations"), &cell.metric_stats[1]);
+  EXPECT_EQ(&result.stat(cell, "switches_per_ant_round"),
+            &cell.metric_stats[2]);
+  try {
+    result.stat(cell, "convergence_round");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    // The message names what IS available.
+    const std::string message = e.what();
+    EXPECT_NE(message.find("convergence_round"), std::string::npos);
+    EXPECT_NE(message.find("switches_per_ant_round"), std::string::npos);
+  }
 }
 
 TEST(Campaign, TableIsTidy) {
@@ -132,6 +160,19 @@ TEST(Campaign, EmptyAxesThrow) {
   cfg = small_matrix();
   cfg.replicates = 0;
   EXPECT_THROW(run_campaign(cfg), std::invalid_argument);
+}
+
+TEST(Campaign, TraceStrideIsRefused) {
+  // Cells keep only statistics; a strided trace comes from trace replay.
+  auto cfg = small_matrix();
+  cfg.metrics.trace_stride = 8;
+  try {
+    run_campaign(cfg);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("trace_stride"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

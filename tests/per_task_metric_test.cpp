@@ -28,6 +28,22 @@ namespace {
 using test_util::make_temp_dir;
 using test_util::metric_matrix;
 
+// Every replicate of every cell, replayed from the campaign's traces.
+std::vector<SimResult> all_replicates(CampaignConfig cfg,
+                                      const std::string& tag) {
+  cfg.trace_dir = make_temp_dir(tag);
+  const CampaignResult result = run_campaign(cfg);
+  std::vector<SimResult> out;
+  for (const CampaignCell& cell : result.cells) {
+    for (SimResult& r : replay_cell_results(cfg.trace_dir, cell.flat_index,
+                                            cfg.replicates, result.metrics)) {
+      out.push_back(std::move(r));
+    }
+  }
+  std::filesystem::remove_all(cfg.trace_dir);
+  return out;
+}
+
 // One replicate's named scalar, asserting it exists.
 double scalar(const SimResult& r, const std::string& name) {
   for (std::size_t i = 0; i < r.metric_names.size(); ++i) {
@@ -41,53 +57,48 @@ TEST(PerTaskMetrics, OscillationAggregatesReconstructBitExact) {
   // Both the aggregate and the fan-out run side by side on the same rounds:
   // the aggregate must equal the task-order recombination of the columns,
   // double-for-double.
-  auto cfg = metric_matrix({"oscillation", "oscillation-per-task@2"});
-  cfg.keep_results = true;
-  const CampaignResult result = run_campaign(cfg);
-  ASSERT_FALSE(result.cells.empty());
+  const std::vector<SimResult> replicates = all_replicates(
+      metric_matrix({"oscillation", "oscillation-per-task@2"}), "per_task_osc");
+  ASSERT_FALSE(replicates.empty());
 
-  for (const CampaignCell& cell : result.cells) {
-    for (const SimResult& r : cell.results) {
-      const double rate0 = scalar(r, "osc_crossing_rate.task0");
-      const double rate1 = scalar(r, "osc_crossing_rate.task1");
-      EXPECT_EQ(scalar(r, "osc_crossing_rate"), (rate0 + rate1) / 2.0);
+  for (const SimResult& r : replicates) {
+    const double rate0 = scalar(r, "osc_crossing_rate.task0");
+    const double rate1 = scalar(r, "osc_crossing_rate.task1");
+    EXPECT_EQ(scalar(r, "osc_crossing_rate"), (rate0 + rate1) / 2.0);
 
-      const double mean0 = scalar(r, "osc_mean_abs_deficit.task0");
-      const double mean1 = scalar(r, "osc_mean_abs_deficit.task1");
-      EXPECT_EQ(scalar(r, "osc_mean_abs_deficit"), (mean0 + mean1) / 2.0);
+    const double mean0 = scalar(r, "osc_mean_abs_deficit.task0");
+    const double mean1 = scalar(r, "osc_mean_abs_deficit.task1");
+    EXPECT_EQ(scalar(r, "osc_mean_abs_deficit"), (mean0 + mean1) / 2.0);
 
-      // The aggregate max is a running max over tasks in order, seeded at 0.
-      const double max0 = scalar(r, "osc_max_abs_deficit.task0");
-      const double max1 = scalar(r, "osc_max_abs_deficit.task1");
-      EXPECT_EQ(scalar(r, "osc_max_abs_deficit"),
-                std::max({0.0, max0, max1}));
-    }
+    // The aggregate max is a running max over tasks in order, seeded at 0.
+    const double max0 = scalar(r, "osc_max_abs_deficit.task0");
+    const double max1 = scalar(r, "osc_max_abs_deficit.task1");
+    EXPECT_EQ(scalar(r, "osc_max_abs_deficit"),
+              std::max({0.0, max0, max1}));
   }
 }
 
 TEST(PerTaskMetrics, JointLastViolationIsTheTaskMax) {
   // A joint band violation IS some task's violation, so the joint
   // accumulator's last_violation equals the max over the per-task ones.
-  auto cfg = metric_matrix({"convergence", "convergence-per-task@2"});
-  cfg.keep_results = true;
-  const CampaignResult result = run_campaign(cfg);
-  ASSERT_FALSE(result.cells.empty());
+  const std::vector<SimResult> replicates = all_replicates(
+      metric_matrix({"convergence", "convergence-per-task@2"}),
+      "per_task_conv");
+  ASSERT_FALSE(replicates.empty());
 
-  for (const CampaignCell& cell : result.cells) {
-    for (const SimResult& r : cell.results) {
-      EXPECT_EQ(scalar(r, "last_violation"),
-                std::max(scalar(r, "last_violation.task0"),
-                         scalar(r, "last_violation.task1")));
-      // Joint entry needs EVERY task in band at once, so it cannot precede
-      // any single task's own entry (-1 = never entered).
-      const double joint = scalar(r, "convergence_round");
-      const double t0 = scalar(r, "convergence_round.task0");
-      const double t1 = scalar(r, "convergence_round.task1");
-      if (joint >= 0.0) {
-        ASSERT_GE(t0, 0.0);
-        ASSERT_GE(t1, 0.0);
-        EXPECT_GE(joint, std::max(t0, t1));
-      }
+  for (const SimResult& r : replicates) {
+    EXPECT_EQ(scalar(r, "last_violation"),
+              std::max(scalar(r, "last_violation.task0"),
+                       scalar(r, "last_violation.task1")));
+    // Joint entry needs EVERY task in band at once, so it cannot precede
+    // any single task's own entry (-1 = never entered).
+    const double joint = scalar(r, "convergence_round");
+    const double t0 = scalar(r, "convergence_round.task0");
+    const double t1 = scalar(r, "convergence_round.task1");
+    if (joint >= 0.0) {
+      ASSERT_GE(t0, 0.0);
+      ASSERT_GE(t1, 0.0);
+      EXPECT_GE(joint, std::max(t0, t1));
     }
   }
 }

@@ -9,15 +9,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "metrics/metric.h"
 #include "noise/sigmoid.h"
+#include "rng/splitmix.h"
 #include "sim/campaign.h"
+#include "sim/experiment.h"
 #include "stats/summary.h"
 
 namespace antalloc::test_util {
@@ -120,6 +127,108 @@ inline void expect_stats_identical(const RunningStats& a,
   EXPECT_EQ(sa.m2, sb.m2);
   EXPECT_EQ(sa.min, sb.min);
   EXPECT_EQ(sa.max, sb.max);
+}
+
+// The ExperimentConfig run_campaign runs for matrix coordinate (si, ai, ni),
+// re-derived from the public API: cell seed hash(seed, si, ai, ni) (noise
+// axis dropped under pair_noise_seeds), the resolved metric selection, the
+// rounds/2 warm-up default and the engine resolved once per cell.
+inline ExperimentConfig cell_experiment(const CampaignConfig& cfg,
+                                        std::size_t si, std::size_t ai,
+                                        std::size_t ni) {
+  ExperimentConfig ecfg;
+  ecfg.algo = cfg.algos[ai];
+  ecfg.n_ants = cfg.n_ants;
+  ecfg.rounds = cfg.rounds;
+  ecfg.seed = rng::hash_words(cfg.seed, si, ai, cfg.pair_noise_seeds ? 0 : ni);
+  ecfg.initial = cfg.scenarios[si].initial;
+  ecfg.initial_loads = cfg.scenarios[si].initial_loads;
+  ecfg.metrics = cfg.metrics;
+  ecfg.metrics.names = resolve_metric_names(cfg.metrics.names);
+  ecfg.sampling = cfg.sampling;
+  if (ecfg.metrics.warmup == 0) ecfg.metrics.warmup = cfg.rounds / 2;
+  const auto probe = cfg.noises[ni].make();
+  ecfg.engine = resolve_engine(cfg.engine, ecfg.algo, *probe);
+  return ecfg;
+}
+
+// One cell's replicates straight from run_replicate, in replicate order:
+// the live per-replicate results a traced campaign must reproduce.
+inline std::vector<SimResult> live_cell_results(const CampaignConfig& cfg,
+                                                std::size_t flat) {
+  const std::size_t noises = cfg.noises.size();
+  const std::size_t si = flat / (cfg.algos.size() * noises);
+  const std::size_t ai = flat / noises % cfg.algos.size();
+  const std::size_t ni = flat % noises;
+  const ExperimentConfig ecfg = cell_experiment(cfg, si, ai, ni);
+  std::vector<SimResult> out;
+  for (std::int64_t rep = 0; rep < cfg.replicates; ++rep) {
+    out.push_back(run_replicate(ecfg, cfg.noises[ni].make,
+                                cfg.scenarios[si].schedule, rep));
+  }
+  return out;
+}
+
+// Every data row of a shard directory's results files, split on commas and
+// keyed by (cell, replicate). Each file's header must end in one
+// "metric_<scalar>" column per entry of `specs`.
+inline std::map<std::pair<std::size_t, std::size_t>, std::vector<std::string>>
+read_results_rows(const std::string& dir,
+                  const std::vector<MetricScalar>& specs) {
+  std::string metric_columns;
+  for (const MetricScalar& spec : specs) metric_columns += ",metric_" + spec.name;
+  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::string>> rows;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (!name.ends_with(".results.csv")) continue;
+    std::ifstream in(entry.path());
+    std::string line;
+    std::getline(in, line);
+    EXPECT_TRUE(line.ends_with(metric_columns)) << name << ": " << line;
+    while (std::getline(in, line)) {
+      std::vector<std::string> fields;
+      std::istringstream row(line);
+      for (std::string f; std::getline(row, f, ',');) fields.push_back(f);
+      if (fields.size() < 2) {
+        ADD_FAILURE() << name << ": short row " << line;
+        continue;
+      }
+      rows[{std::stoull(fields[0]), std::stoull(fields[1])}] = fields;
+    }
+  }
+  return rows;
+}
+
+// One results.csv row against the SimResult it must hold, column by
+// column: the fixed fields, final_loads and every selected scalar. Doubles
+// are written %.17g, so equality is exact (NaN matches NaN).
+inline void expect_results_row(const std::vector<std::string>& fields,
+                               const SimResult& live,
+                               const std::vector<MetricScalar>& specs) {
+  constexpr std::size_t kFixed = 13;
+  ASSERT_EQ(fields.size(), kFixed + specs.size());
+  const auto same = [](double parsed, double want) {
+    return parsed == want || (std::isnan(parsed) && std::isnan(want));
+  };
+  EXPECT_EQ(std::stoll(fields[2]), live.rounds);
+  EXPECT_EQ(std::stoll(fields[3]), live.n_ants);
+  EXPECT_PRED2(same, std::stod(fields[4]), live.total_regret);
+  EXPECT_PRED2(same, std::stod(fields[5]), live.regret_plus);
+  EXPECT_PRED2(same, std::stod(fields[6]), live.regret_near);
+  EXPECT_PRED2(same, std::stod(fields[7]), live.regret_minus);
+  EXPECT_EQ(std::stoll(fields[8]), live.post_warmup_rounds);
+  EXPECT_PRED2(same, std::stod(fields[9]), live.post_warmup_regret);
+  EXPECT_EQ(std::stoll(fields[10]), live.violation_rounds);
+  EXPECT_EQ(std::stoll(fields[11]), live.switches);
+  std::vector<Count> loads;
+  std::istringstream split(fields[12]);
+  for (std::string w; std::getline(split, w, ';');) loads.push_back(std::stoll(w));
+  EXPECT_EQ(loads, live.final_loads);
+  for (std::size_t si = 0; si < specs.size(); ++si) {
+    SCOPED_TRACE(specs[si].name);
+    EXPECT_PRED2(same, std::stod(fields[kFixed + si]),
+                 live.metric(specs[si].name));
+  }
 }
 
 }  // namespace antalloc::test_util
