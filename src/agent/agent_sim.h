@@ -8,9 +8,12 @@
 //
 // Sampling modes. The engine offers two statistically equivalent ways to
 // realize each round:
-//  * kPerAnt — the legacy stream: every ant re-seeds its own generator from
-//    (seed, round, ant) and draws its coins individually. Bit-exact with the
-//    committed golden traces; works for every algorithm and feedback model.
+//  * kPerAnt — the legacy stream: every (ant, task) coin comes from its own
+//    generator keyed by hash_words(seed, round, ant, task), flipped against
+//    the round's table of conditional lack probabilities (FeedbackAccess
+//    asks the model for k of them per round, after begin_round). Bit-exact
+//    with the committed golden traces; works for every algorithm and
+//    feedback model, including correlated ones.
 //  * kBatched — the fast path: per (task, decision-kind) counts are drawn in
 //    bulk (one binomial / multinomial per group) and the affected ants are
 //    selected by unbiased partial Fisher–Yates. Requires an algorithm that

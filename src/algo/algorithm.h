@@ -41,6 +41,16 @@ namespace antalloc {
 // deterministic in (seed, round, ant, task), so re-sampling the same cell
 // returns the same value and runs are reproducible under any thread order.
 //
+// The constructor runs once per round: it asks the model for the k
+// per-task conditional lack probabilities (FeedbackModel::
+// conditional_lack_probability, in force after begin_round) and caches the
+// round's hash key. Each per-ant draw is then
+// Xoshiro256(hash_words(seed, t, ant, j)).bernoulli(p_lack[j]) with no
+// virtual call and no exp — the same coin FeedbackModel::sample would
+// draw on that generator. Throws std::invalid_argument when the deficits
+// and demands disagree in size or exceed kMaxAgentTasks (masks are one
+// word).
+//
 // Task lifecycle: `active_mask` (bit j set = task j active) gates every
 // draw. An inactive (dormant) task answers unconditional overload — the
 // signal that makes every automaton in this library vacate a task — so any
@@ -51,15 +61,25 @@ class FeedbackAccess {
   FeedbackAccess(FeedbackModel& fm, Round t, std::span<const double> deficits,
                  std::span<const Count> demands, std::uint64_t seed,
                  std::uint64_t active_mask = ~0ull)
-      : fm_(fm),
-        t_(t),
-        deficits_(deficits),
-        demands_(demands),
-        seed_(seed),
-        active_mask_(active_mask) {}
+      : demands_(demands),
+        round_key_(rng::hash_combine(seed, static_cast<std::uint64_t>(t))),
+        active_mask_(active_mask) {
+    if (deficits.size() != demands.size()) {
+      throw std::invalid_argument(
+          "FeedbackAccess: deficits and demands differ in size");
+    }
+    if (deficits.size() > static_cast<std::size_t>(kMaxAgentTasks)) {
+      throw std::invalid_argument("FeedbackAccess: k exceeds kMaxAgentTasks");
+    }
+    for (std::size_t j = 0; j < deficits.size(); ++j) {
+      p_lack_[j] = fm.conditional_lack_probability(
+          t, static_cast<TaskId>(j), deficits[j],
+          static_cast<double>(demands[j]));
+    }
+  }
 
   std::int32_t num_tasks() const {
-    return static_cast<std::int32_t>(deficits_.size());
+    return static_cast<std::int32_t>(demands_.size());
   }
 
   // Whether task j is active this round. Algorithms with O(k) inner loops
@@ -74,40 +94,41 @@ class FeedbackAccess {
 
   Feedback sample(std::int64_t ant, TaskId j) const {
     if (!active(j)) return Feedback::kOverload;
-    return sample_unmasked(ant, j);
+    return draw_lack(ant_key(ant), j) ? Feedback::kLack : Feedback::kOverload;
   }
 
   // Bitmask of tasks whose feedback for `ant` is lack (bit j set = lack).
   // Inactive tasks never report lack: the mask is applied once at the end,
   // keeping the per-task sampling loop branch-free (this is the agent
-  // engine's hottest path — see bench_perf_engines BM_AgentAntRound).
+  // engine's hottest path — see bench_perf_engines BM_AgentAntRound). For a
+  // dormant task that burns one discarded draw, which only lifecycle runs
+  // ever pay.
   std::uint64_t sample_lack_mask(std::int64_t ant) const {
+    const std::uint64_t key = ant_key(ant);
     std::uint64_t mask = 0;
     for (TaskId j = 0; j < num_tasks(); ++j) {
-      if (sample_unmasked(ant, j) == Feedback::kLack) mask |= (1ull << j);
+      mask |= static_cast<std::uint64_t>(draw_lack(key, j)) << j;
     }
     return mask & active_mask_;
   }
 
  private:
-  // The raw draw, ignoring the lifecycle mask. Callers must mask the result
-  // (sample / sample_lack_mask do); for a dormant task it burns one discarded
-  // draw, which only lifecycle runs ever pay.
-  Feedback sample_unmasked(std::int64_t ant, TaskId j) const {
-    const auto ju = static_cast<std::size_t>(j);
-    rng::Xoshiro256 gen(rng::hash_words(seed_, static_cast<std::uint64_t>(t_),
-                                        static_cast<std::uint64_t>(ant),
-                                        static_cast<std::uint64_t>(j)));
-    return fm_.sample(t_, j, ant, deficits_[ju],
-                      static_cast<double>(demands_[ju]), gen);
+  // hash_words(seed, t, ant, j) is hash_combine(ant_key(ant), j).
+  std::uint64_t ant_key(std::int64_t ant) const {
+    return rng::hash_combine(round_key_, static_cast<std::uint64_t>(ant));
   }
 
-  FeedbackModel& fm_;
-  Round t_;
-  std::span<const double> deficits_;
+  // The raw draw for (ant, j), ignoring the lifecycle mask.
+  bool draw_lack(std::uint64_t key, TaskId j) const {
+    rng::Xoshiro256 gen(
+        rng::hash_combine(key, static_cast<std::uint64_t>(j)));
+    return gen.bernoulli(p_lack_[static_cast<std::size_t>(j)]);
+  }
+
   std::span<const Count> demands_;
-  std::uint64_t seed_;
+  std::uint64_t round_key_;  // hash_combine(seed, t)
   std::uint64_t active_mask_;
+  double p_lack_[kMaxAgentTasks]{};
 };
 
 class BatchedAgentRunner;  // algo/batched.h

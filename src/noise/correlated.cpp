@@ -39,12 +39,16 @@ void CorrelatedFeedback::begin_round(Round t,
   }
 }
 
-Feedback CorrelatedFeedback::sample(Round t, TaskId j, std::int64_t ant,
-                                    double deficit, double demand,
-                                    rng::Xoshiro256& gen) const {
+double CorrelatedFeedback::conditional_lack_probability(Round t, TaskId j,
+                                                        double deficit,
+                                                        double demand) const {
+  // A shared cell is decided: uniform() < 1.0 always holds and uniform() <
+  // 0.0 never does, so every ant reads the shared value whatever its draw.
   const auto ju = static_cast<std::size_t>(j);
-  if (ju < shared_.size() && shared_[ju]) return shared_value_[ju];
-  return FeedbackModel::sample(t, j, ant, deficit, demand, gen);
+  if (ju < shared_.size() && shared_[ju]) {
+    return shared_value_[ju] == Feedback::kLack ? 1.0 : 0.0;
+  }
+  return base_->lack_probability(t, j, deficit, demand);
 }
 
 }  // namespace antalloc

@@ -6,7 +6,12 @@
 // given (round, task); with probability 1-rho the draws are independent.
 // Either way the per-ant marginal equals the base model's probability, so
 // `lack_probability` is unchanged — only the joint distribution differs.
-// Only the agent engine can run this model (iid_across_ants() == false).
+// begin_round makes the shared draws; `conditional_lack_probability` then
+// returns exactly 1.0 (shared lack) or 0.0 (shared overload) for a shared
+// task and the base marginal for any other, so given the round's state the
+// per-ant draws are independent again and FeedbackAccess's per-round table
+// applies unchanged. Only the agent engine can run this model
+// (iid_across_ants() == false).
 #pragma once
 
 #include <memory>
@@ -32,8 +37,8 @@ class CorrelatedFeedback final : public FeedbackModel {
                    std::span<const Count> demands,
                    rng::Xoshiro256& gen) override;
 
-  Feedback sample(Round t, TaskId j, std::int64_t ant, double deficit,
-                  double demand, rng::Xoshiro256& gen) const override;
+  double conditional_lack_probability(Round t, TaskId j, double deficit,
+                                      double demand) const override;
 
  private:
   std::shared_ptr<const FeedbackModel> base_;

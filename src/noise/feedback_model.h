@@ -11,7 +11,13 @@
 //  * the aggregate engine uses `lack_probability` (the per-ant marginal) and
 //    requires `iid_across_ants()`;
 //  * the agent engine calls `begin_round` once per round (lets stateful
-//    models draw shared randomness) and then `sample` per (ant, task).
+//    models draw shared randomness) and then reads one
+//    `conditional_lack_probability` per task: given the round's shared
+//    state, every ant's draw for task j is an independent Bernoulli of it.
+//    FeedbackAccess (algo/algorithm.h) tabulates those k probabilities once
+//    per round, so a model is asked k times per round, not n·k.
+// `sample` is that same Bernoulli on a caller-supplied generator, for
+// callers that draw one coin at a time (benches, tests).
 #pragma once
 
 #include <span>
@@ -43,16 +49,24 @@ class FeedbackModel {
   // aggregate deterministic feedback (Precise Adversarial) check this.
   virtual bool deterministic() const { return false; }
 
-  // Hook called once per round before any `sample` call, with the deficits
-  // and demands in force. Default: no-op. Stateful models (correlated noise)
+  // Hook called once per round before any draw, with the deficits and
+  // demands in force. Default: no-op. Stateful models (correlated noise)
   // draw their shared randomness here.
   virtual void begin_round(Round t, std::span<const double> deficits,
                            std::span<const Count> demands,
                            rng::Xoshiro256& gen);
 
-  // Per-ant draw. Default: Bernoulli(lack_probability).
-  virtual Feedback sample(Round t, TaskId j, std::int64_t ant, double deficit,
-                          double demand, rng::Xoshiro256& gen) const;
+  // Per-ant lack probability in force after begin_round(t): conditioned on
+  // the round's shared state, each ant's draw for task j is an independent
+  // Bernoulli of this value. Default: the marginal `lack_probability`, which
+  // is exact for every model whose draws are i.i.d. across ants.
+  virtual double conditional_lack_probability(Round t, TaskId j,
+                                              double deficit,
+                                              double demand) const;
+
+  // One per-ant draw: Bernoulli(conditional_lack_probability) on `gen`.
+  Feedback sample(Round t, TaskId j, std::int64_t ant, double deficit,
+                  double demand, rng::Xoshiro256& gen) const;
 };
 
 }  // namespace antalloc

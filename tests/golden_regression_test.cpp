@@ -5,13 +5,22 @@
 // commit as the behaviour change.
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "aggregate/aggregate_sim.h"
 #include "agent/agent_sim.h"
+#include "algo/ant.h"
 #include "algo/registry.h"
 #include "io/trace_reader.h"
 #include "metrics/metric.h"
+#include "noise/adversarial.h"
+#include "noise/correlated.h"
+#include "noise/exact.h"
 #include "noise/sigmoid.h"
 #include "rng/xoshiro.h"
 
@@ -100,8 +109,11 @@ TEST_F(GoldenLoads, AntAggregateSnapshot) {
 //
 //   ./build/examples/antalloc_cli --algo=ant --engine=agent --noise=sigmoid \
 //     --lambda=0.7 --n=2000 --k=2 --demand=300 --rounds=3000 --gamma=0.05 \
-//     --seed=20260612 --plot=false \
+//     --seed=20260612 --plot=false --sampling=per-ant \
 //     --trace-out=tests/data/golden_ant_agent.trace
+//
+// (--sampling=per-ant matters: the CLI defaults to the batched stream, which
+// writes tests/data/golden_ant_agent_batched.trace instead.)
 TEST_F(GoldenLoads, ReplayOfCommittedFixtureReproducesScalars) {
   const std::string path =
       std::string(ANTALLOC_TEST_DATA_DIR) + "/golden_ant_agent.trace";
@@ -148,6 +160,34 @@ TEST_F(GoldenLoads, ReplayOfCommittedFixtureReproducesScalars) {
   }
 }
 
+// The per-ant fixture is also what the per-ant engine produces TODAY: a
+// live run of the recipe above must land on the replayed scalars exactly
+// (AgentBatched.GoldenTraceReplayMatchesLiveRun is the batched twin).
+TEST_F(GoldenLoads, PerAntTraceReplayMatchesLiveRun) {
+  const std::string path =
+      std::string(ANTALLOC_TEST_DATA_DIR) + "/golden_ant_agent.trace";
+  TraceReader reader(path);
+  const SimResult replayed = replay_trace(reader, metric_names());
+
+  // --demand=300 --k=2 is uniform demands; the CLI records with warmup =
+  // rounds/2.
+  AntAgent algo(AntParams{.gamma = 0.05});
+  SigmoidFeedback fm(0.7);
+  const DemandVector demands = uniform_demands(2, 300);
+  const AgentSimConfig cfg{.n_ants = 2000,
+                           .rounds = 3000,
+                           .seed = 20260612,
+                           .metrics = {.gamma = 0.05, .warmup = 1500},
+                           .sampling = SamplingMode::kPerAnt};
+  const SimResult live = run_agent_sim(algo, fm, demands, cfg);
+
+  EXPECT_EQ(live.final_loads, replayed.final_loads);
+  EXPECT_EQ(live.switches, replayed.switches);
+  EXPECT_EQ(live.total_regret, replayed.total_regret);
+  EXPECT_EQ(live.post_warmup_regret, replayed.post_warmup_regret);
+  EXPECT_EQ(live.violation_rounds, replayed.violation_rounds);
+}
+
 TEST_F(GoldenLoads, AntAgentSnapshot) {
   // The agent engine only uses our own RNG (counter-based streams), so its
   // trajectory is fully portable: lock the exact final loads.
@@ -158,6 +198,112 @@ TEST_F(GoldenLoads, AntAgentSnapshot) {
   EXPECT_LE(res.final_loads[0], 350);
   const Count assigned = res.final_loads[0] + res.final_loads[1];
   EXPECT_LE(assigned, 2000);
+}
+
+// Per-ant stream pins: every registered agent algorithm under every noise
+// family the per-ant engine takes (i.i.d. sigmoid, Remark 3.4 correlated
+// noise, a grey-zone adversary, exact feedback), at a size small enough to
+// run the whole matrix in well under a second. The literals were produced
+// by this build; any change to how FeedbackAccess derives a draw, to a
+// model's probabilities or to an algorithm's sampling order moves them. On
+// a mismatch the failure message prints the actual row, ready to re-pin.
+std::unique_ptr<FeedbackModel> pin_noise(const std::string& noise) {
+  if (noise == "sigmoid") return std::make_unique<SigmoidFeedback>(0.05);
+  if (noise == "correlated") {
+    return std::make_unique<CorrelatedFeedback>(
+        std::make_shared<SigmoidFeedback>(0.05), 0.3);
+  }
+  if (noise == "anti-gradient") {
+    return std::make_unique<AdversarialFeedback>(
+        0.1, make_anti_gradient_adversary());
+  }
+  if (noise == "exact") return std::make_unique<ExactFeedback>();
+  throw std::invalid_argument("pin_noise: " + noise);
+}
+
+struct PerAntPin {
+  const char* algo;
+  const char* noise;
+  std::vector<Count> final_loads;
+  std::int64_t switches;
+  double total_regret;
+};
+
+const std::vector<PerAntPin>& per_ant_pins() {
+  static const std::vector<PerAntPin> pins = {
+      {"ant", "sigmoid", {168, 126, 89}, 22977, 58864},
+      {"ant", "correlated", {168, 125, 90}, 23059, 59175},
+      {"ant", "anti-gradient", {196, 92, 72}, 21680, 49093},
+      {"ant", "exact", {128, 85, 72}, 19753, 39495},
+      {"precise-sigmoid", "sigmoid", {123, 131, 140}, 460, 79984},
+      {"precise-sigmoid", "correlated", {123, 131, 140}, 460, 79984},
+      {"precise-sigmoid", "anti-gradient", {123, 131, 140}, 460, 79984},
+      {"precise-sigmoid", "exact", {122, 131, 140}, 459, 79803},
+      {"precise-adversarial", "sigmoid", {258, 7, 0}, 317, 119856},
+      {"precise-adversarial", "correlated", {286, 12, 0}, 350, 128399},
+      {"precise-adversarial", "anti-gradient", {137, 123, 124}, 454, 86361},
+      {"precise-adversarial", "exact", {137, 123, 124}, 454, 86361},
+      {"trivial", "sigmoid", {17, 12, 6}, 174193, 86706},
+      {"trivial", "correlated", {210, 7, 0}, 170675, 84054},
+      {"trivial", "anti-gradient", {0, 85, 0}, 173615, 88197},
+      {"trivial", "exact", {0, 0, 0}, 184024, 92276},
+      {"sharp-threshold", "sigmoid", {98, 75, 50}, 92063, 34989},
+      {"sharp-threshold", "correlated", {50, 117, 29}, 93430, 42574},
+      {"sharp-threshold", "anti-gradient", {132, 74, 61}, 100745, 53898},
+      {"sharp-threshold", "exact", {202, 71, 22}, 100285, 52293},
+      {"threshold", "sigmoid", {121, 75, 43}, 16527, 6868},
+      {"threshold", "correlated", {69, 82, 36}, 17851, 21012},
+      {"threshold", "anti-gradient", {79, 139, 34}, 24160, 38234},
+      {"threshold", "exact", {75, 110, 33}, 25634, 38676},
+      {"oracle", "sigmoid", {120, 80, 40}, 240, 0},
+      {"oracle", "correlated", {120, 80, 40}, 240, 0},
+      {"oracle", "anti-gradient", {120, 80, 40}, 240, 0},
+      {"oracle", "exact", {120, 80, 40}, 240, 0},
+  };
+  return pins;
+}
+
+TEST(PerAntStream, PinnedByValueForEveryAlgorithmAndNoise) {
+  const std::vector<std::string> noises = {"sigmoid", "correlated",
+                                           "anti-gradient", "exact"};
+  const DemandVector demands({Count{120}, Count{80}, Count{40}});
+  std::size_t checked = 0;
+  for (const std::string& algo_name : algorithm_names()) {
+    for (const std::string& noise : noises) {
+      auto algo = make_agent_algorithm(
+          AlgoConfig{.name = algo_name, .gamma = 0.05, .epsilon = 0.9});
+      auto fm = pin_noise(noise);
+      const AgentSimConfig cfg{.n_ants = 400,
+                               .rounds = 480,
+                               .seed = 4242,
+                               .metrics = {.gamma = 0.05},
+                               .sampling = SamplingMode::kPerAnt};
+      const SimResult res = run_agent_sim(*algo, *fm, demands, cfg);
+
+      std::ostringstream actual;
+      actual << "{\"" << algo_name << "\", \"" << noise << "\", {";
+      for (std::size_t j = 0; j < res.final_loads.size(); ++j) {
+        actual << (j ? ", " : "") << res.final_loads[j];
+      }
+      actual << "}, " << res.switches << ", " << std::setprecision(17)
+             << res.total_regret << "},";
+
+      const PerAntPin* pin = nullptr;
+      for (const PerAntPin& p : per_ant_pins()) {
+        if (algo_name == p.algo && noise == p.noise) pin = &p;
+      }
+      if (pin == nullptr) {
+        ADD_FAILURE() << "no pin for " << algo_name << " x " << noise
+                      << "; actual " << actual.str();
+        continue;
+      }
+      ++checked;
+      EXPECT_EQ(res.final_loads, pin->final_loads) << actual.str();
+      EXPECT_EQ(res.switches, pin->switches) << actual.str();
+      EXPECT_EQ(res.total_regret, pin->total_regret) << actual.str();
+    }
+  }
+  EXPECT_EQ(checked, per_ant_pins().size()) << "stale pins in the table";
 }
 
 }  // namespace
