@@ -173,15 +173,14 @@ void BM_AgentAntRound(benchmark::State& state) {
   const std::int32_t k = 4;
   AntAgent algo(AntParams{.gamma = 0.05});
   SigmoidFeedback fm(0.05);
-  std::vector<TaskId> assignment(static_cast<std::size_t>(n), kIdle);
   const std::vector<double> deficits(static_cast<std::size_t>(k), 5.0);
   const std::vector<Count> demand_counts(static_cast<std::size_t>(k),
                                          n / (4 * k));
   Round t = 1;
   if (batched) {
     BatchedAgentRunner* runner = algo.batched_runner();
-    runner->reset(n, k, assignment, 3);
     std::vector<Count> loads(static_cast<std::size_t>(k), 0);
+    runner->reset(n, k, loads, 3);
     std::vector<double> p_lack(static_cast<std::size_t>(k), 0.0);
     const std::uint64_t mask = ActiveSet::all(k).mask64();
     for (auto _ : state) {
@@ -194,6 +193,7 @@ void BM_AgentAntRound(benchmark::State& state) {
       ++t;
     }
   } else {
+    std::vector<TaskId> assignment(static_cast<std::size_t>(n), kIdle);
     algo.reset(n, k, assignment, 3);
     std::vector<TaskId> next(assignment.size(), kIdle);
     for (auto _ : state) {

@@ -28,9 +28,8 @@ std::vector<TaskId> initial_assignment(Count n_ants,
 // draws; the engine only supplies per-task marginals and records rounds.
 SimResult run_batched(BatchedAgentRunner& runner, const FeedbackModel& fm,
                       const DemandSchedule& schedule, const AgentSimConfig& cfg,
-                      std::int32_t k, std::vector<Count> loads,
-                      std::span<const TaskId> initial) {
-  runner.reset(cfg.n_ants, k, initial, cfg.seed);
+                      std::int32_t k, std::vector<Count> loads) {
+  runner.reset(cfg.n_ants, k, loads, cfg.seed);
 
   MetricsRecorder recorder(k, cfg.n_ants, cfg.metrics);
   std::vector<double> p_lack(static_cast<std::size_t>(k), 0.0);
@@ -108,18 +107,16 @@ SimResult run_agent_sim(AgentAlgorithm& algo, FeedbackModel& fm,
   // Validates that the loads fit within the colony.
   Allocation init(cfg.n_ants, loads);
 
-  std::vector<TaskId> assignment = initial_assignment(cfg.n_ants, loads);
-
   // Batched sampling applies only when the algorithm offers a runner and the
   // per-ant draws are exchangeable (i.i.d. given the loads); anything else
   // falls back to the per-ant stream, which is always correct.
   if (cfg.sampling == SamplingMode::kBatched && fm.iid_across_ants()) {
     if (BatchedAgentRunner* runner = algo.batched_runner()) {
-      return run_batched(*runner, fm, schedule, cfg, k, std::move(loads),
-                         assignment);
+      return run_batched(*runner, fm, schedule, cfg, k, std::move(loads));
     }
   }
 
+  std::vector<TaskId> assignment = initial_assignment(cfg.n_ants, loads);
   std::vector<TaskId> next_assignment(assignment.size(), kIdle);
   algo.reset(cfg.n_ants, k, assignment, cfg.seed);
 

@@ -15,8 +15,8 @@
 //    with the committed golden traces; works for every algorithm and
 //    feedback model, including correlated ones.
 //  * kBatched — the fast path: per (task, decision-kind) counts are drawn in
-//    bulk (one binomial / multinomial per group) and the affected ants are
-//    selected by unbiased partial Fisher–Yates. Requires an algorithm that
+//    bulk (one binomial / multinomial per group) over count-only state, with
+//    an exact switch ledger (algo/batched.h). Requires an algorithm that
 //    provides a BatchedAgentRunner and an i.i.d.-across-ants feedback model;
 //    the engine silently falls back to kPerAnt otherwise. The count stream
 //    is seeded exactly like the matching aggregate kernel, so per-round
@@ -37,7 +37,7 @@ namespace antalloc {
 
 enum class SamplingMode : std::uint8_t {
   kPerAnt = 0,   // legacy per-ant RNG stream (golden-trace pinned)
-  kBatched = 1,  // bulk count draws + Fisher–Yates selection
+  kBatched = 1,  // bulk count draws over per-task counts
 };
 
 // "per-ant" / "batched"; throws std::invalid_argument on anything else.

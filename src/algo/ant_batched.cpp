@@ -1,5 +1,6 @@
 #include "algo/ant_batched.h"
 
+#include <numeric>
 #include <stdexcept>
 
 #include "rng/splitmix.h"
@@ -7,7 +8,7 @@
 namespace antalloc {
 
 void AntBatchedRunner::reset(Count n_ants, std::int32_t k,
-                             std::span<const TaskId> initial,
+                             std::span<const Count> initial,
                              std::uint64_t seed) {
   if (k > kMaxAgentTasks) {
     throw std::invalid_argument("AntBatchedRunner: k exceeds kMaxAgentTasks");
@@ -17,48 +18,29 @@ void AntBatchedRunner::reset(Count n_ants, std::int32_t k,
   sampler_.emplace(rng::hash_combine(seed, 0xA99Au),
                    rng::hash_combine(seed, 0xBA7Cull));
   const auto ku = static_cast<std::size_t>(k);
-  const auto nu = static_cast<std::size_t>(n_ants);
-  buckets_.resize(ku);
-  for (auto& bucket : buckets_) {
-    bucket.clear();
-    bucket.reserve(nu);
-  }
-  idle_.clear();
-  idle_.reserve(nu);
-  flushed_.clear();
-  flushed_.reserve(nu);
-  working_.assign(ku, 0);
+  committed_.assign(initial.begin(), initial.end());
+  working_.assign(initial.begin(), initial.end());
+  idle_ = n_ants - std::accumulate(initial.begin(), initial.end(), Count{0});
+  flushed_ = 0;
   p1_lack_.assign(ku, 0.0);
   join_probs_.assign(ku, 0.0);
   join_marginals_.assign(ku, 0.0);
   joins_.assign(ku, 0);
   task_active_.assign(ku, 1);
-  for (std::size_t i = 0; i < nu; ++i) {
-    const TaskId a = initial[i];
-    if (a == kIdle) {
-      idle_.push_back(static_cast<std::int32_t>(i));
-    } else {
-      buckets_[static_cast<std::size_t>(a)].push_back(
-          static_cast<std::int32_t>(i));
-    }
-  }
-  for (std::size_t j = 0; j < ku; ++j) {
-    working_[j] = static_cast<Count>(buckets_[j].size());
-  }
 }
 
 Count AntBatchedRunner::apply_lifecycle(Round /*t*/, const ActiveSet& active,
                                         std::span<Count> loads) {
   Count switched = 0;
-  for (std::size_t j = 0; j < buckets_.size(); ++j) {
+  for (std::size_t j = 0; j < committed_.size(); ++j) {
     const bool now_active = active[static_cast<TaskId>(j)];
     if (!now_active && task_active_[j] != 0) {
       // Retire: every committed ant (paused ones are already idle-visible
-      // and do not switch again) moves to the flushed bucket, which rejoins
-      // the idle bucket at the next phase start.
+      // and do not switch again) moves to the flushed pool, which rejoins
+      // the idle pool at the next phase start.
       switched += working_[j];
-      flushed_.insert(flushed_.end(), buckets_[j].begin(), buckets_[j].end());
-      buckets_[j].clear();
+      flushed_ += committed_[j];
+      committed_[j] = 0;
       working_[j] = 0;
       p1_lack_[j] = 0.0;
       loads[j] = 0;
@@ -80,26 +62,25 @@ std::int64_t AntBatchedRunner::step_odd(std::span<const double> p_lack,
                                         std::span<Count> loads) {
   // Phase start: ants flushed off dying tasks re-enter the idle pool and
   // become joinable at this phase's decision round.
-  idle_.insert(idle_.end(), flushed_.begin(), flushed_.end());
-  flushed_.clear();
+  idle_ += flushed_;
+  flushed_ = 0;
 
   // First round of the phase: record the first-sample distribution, then
-  // pause a Binomial(n_j, cs*gamma) subset of each task's workers. The
+  // pause a Binomial(n_j, cs*gamma) share of each task's workers. The
   // count-stream draw order (skip dormant, one binomial per active task)
-  // matches AntAggregate::step exactly.
+  // matches AntAggregate::step exactly; the selection stream advances one
+  // pick per paused ant.
   std::int64_t switches = 0;
-  for (std::size_t j = 0; j < buckets_.size(); ++j) {
+  for (std::size_t j = 0; j < committed_.size(); ++j) {
     if (((active_mask >> j) & 1) == 0) {
       p1_lack_[j] = 0.0;  // dormant: unconditional overload
       continue;
     }
     p1_lack_[j] = p_lack[j];
-    auto& bucket = buckets_[j];
-    const auto n_j = static_cast<std::int64_t>(bucket.size());
     const std::int64_t pauses =
-        sampler_->binomial(n_j, params_.pause_probability());
-    sampler_->select_to_suffix(std::span<std::int32_t>(bucket), pauses);
-    working_[j] = n_j - pauses;
+        sampler_->binomial(committed_[j], params_.pause_probability());
+    sampler_->skip(pauses);
+    working_[j] = committed_[j] - pauses;
     switches += pauses;
     loads[j] = working_[j];
   }
@@ -110,80 +91,61 @@ std::int64_t AntBatchedRunner::step_even(std::span<const double> p_lack,
                                          std::uint64_t active_mask,
                                          std::span<Count> loads) {
   // Second round of the phase: permanent leaves and idle-pool joins. Joins
-  // come from the ants idle at the START of the phase — leavers are
-  // appended past `joinable` and cannot rejoin in their own decision round.
-  std::size_t joinable = idle_.size();
-  const auto joinable0 = static_cast<std::int64_t>(joinable);
+  // come from the ants idle at the START of the phase — leavers cannot
+  // rejoin in their own decision round.
+  const Count joinable = idle_;
   std::int64_t switches = 0;
 
-  for (std::size_t j = 0; j < buckets_.size(); ++j) {
+  for (std::size_t j = 0; j < committed_.size(); ++j) {
     if (((active_mask >> j) & 1) == 0) {
       join_probs_[j] = 0.0;  // dormant: no joins, nothing assigned to leave
       continue;
     }
-    auto& bucket = buckets_[j];
     const double p2 = p_lack[j];
     // Per committed ant: P(leave) = P(s1 = s2 = overload) * gamma/cd,
     // independent of the pause coin — so leavers are a uniform subset of
-    // the whole bucket, working and paused alike.
+    // all committed ants, working and paused alike.
     const double p_leave =
         (1.0 - p1_lack_[j]) * (1.0 - p2) * params_.leave_probability();
-    const std::int64_t leaves = sampler_->binomial(
-        static_cast<std::int64_t>(bucket.size()), p_leave);
+    const std::int64_t leaves = sampler_->binomial(committed_[j], p_leave);
+    // Sequential uniform removal: each leaver is a working ant with
+    // probability working_rem / size — the hypergeometric split.
+    std::int64_t size = committed_[j];
     std::int64_t working_rem = working_[j];
-    std::int64_t from_working = 0;
     for (std::int64_t s = 0; s < leaves; ++s) {
-      const auto idx = static_cast<std::size_t>(
-          sampler_->pick(static_cast<std::uint64_t>(bucket.size())));
-      idle_.push_back(bucket[idx]);
-      if (static_cast<std::int64_t>(idx) < working_rem) {
-        // Working leaver: last working ant fills the hole, last paused ant
-        // slides into the vacated working tail — the [working | paused]
-        // partition survives the removal.
-        bucket[idx] = bucket[static_cast<std::size_t>(working_rem - 1)];
-        bucket[static_cast<std::size_t>(working_rem - 1)] = bucket.back();
-        bucket.pop_back();
+      if (sampler_->pick(static_cast<std::uint64_t>(size)) <
+          static_cast<std::uint64_t>(working_rem)) {
         --working_rem;
-        ++from_working;
-      } else {
-        bucket[idx] = bucket.back();
-        bucket.pop_back();
       }
+      --size;
     }
     // Exact switches: working leavers go visible -> idle; surviving paused
     // ants resume (idle-visible -> working); a paused leaver stays
     // idle-visible and does not switch.
-    const std::int64_t paused_rem =
-        static_cast<std::int64_t>(bucket.size()) - working_rem;
-    switches += from_working + paused_rem;
+    switches += (working_[j] - working_rem) + (size - working_rem);
+    committed_[j] = size;
+    idle_ += leaves;
     // Per idle ant: P(both samples lack) for the join rule.
     join_probs_[j] = p1_lack_[j] * p2;
   }
 
   // Join counts use the same count-stream calls as the aggregate kernel:
-  // exact marginals, then one conditional-binomial chain.
+  // exact marginals, then one conditional-binomial chain. The selection
+  // stream advances one pick per joiner.
   sampler_->join_marginals(join_probs_, join_marginals_);
-  sampler_->multinomial_rest(joinable0, join_marginals_, joins_);
+  sampler_->multinomial_rest(joinable, join_marginals_, joins_);
 
-  for (std::size_t j = 0; j < buckets_.size(); ++j) {
+  std::int64_t joined = 0;
+  for (std::size_t j = 0; j < committed_.size(); ++j) {
     if (((active_mask >> j) & 1) == 0) continue;
-    auto& bucket = buckets_[j];
-    for (std::int64_t c = 0; c < joins_[j]; ++c) {
-      const auto idx = static_cast<std::size_t>(
-          sampler_->pick(static_cast<std::uint64_t>(joinable)));
-      bucket.push_back(idle_[idx]);
-      // Close the joinable hole, then slide the last appended leaver (if
-      // any) down into the shrunken suffix.
-      idle_[idx] = idle_[joinable - 1];
-      idle_[joinable - 1] = idle_.back();
-      idle_.pop_back();
-      --joinable;
-    }
-    switches += joins_[j];
-    working_[j] = static_cast<Count>(bucket.size());
+    committed_[j] += joins_[j];
+    joined += joins_[j];
+    working_[j] = committed_[j];
     loads[j] = working_[j];
   }
-  return switches;
+  sampler_->skip(joined);
+  idle_ -= joined;
+  return switches + joined;
 }
 
 }  // namespace antalloc

@@ -2,23 +2,24 @@
 //
 // A BatchedAgentRunner is an optional fast path an AgentAlgorithm can offer
 // the agent engine: instead of per-ant step() calls it advances the whole
-// colony per round with bulk draws (rng/bulk_sampler.h) over
-// structure-of-arrays state bucketed by current task. The runner must
-// preserve the automaton's LAW exactly — same per-round load distribution,
-// same exact switch counts — while being free to use a different RNG
-// stream. The engine gates it behind AgentSimConfig::sampling and falls back
-// to the per-ant path whenever the noise is not i.i.d. across ants.
+// colony per round with bulk draws (rng/bulk_sampler.h) over per-task
+// counts. The runner must preserve the automaton's LAW exactly — same
+// per-round load distribution, same exact switch counts — while being free
+// to use a different RNG stream. The engine gates it behind
+// AgentSimConfig::sampling and falls back to the per-ant path whenever the
+// noise is not i.i.d. across ants.
 //
-// Bucket invariants every implementation maintains (see docs/ARCHITECTURE):
-//  * every ant id lives in exactly one bucket: one task bucket, the idle
-//    bucket, or the flushed bucket;
-//  * a task bucket is partitioned [working | paused] with the working count
-//    tracked separately; selections preserve the partition;
-//  * the flushed bucket (ants evicted by mid-phase task death) merges into
-//    the idle bucket only at a phase start, mirroring the aggregate
-//    kernels' flushed pools;
-//  * all buckets are reserved to colony capacity at reset, so steady-state
-//    rounds perform zero heap allocations.
+// State invariants every implementation maintains (see docs/ARCHITECTURE):
+//  * state is per-task counts plus an idle and a flushed pool, never ant
+//    ids: every ant is counted in exactly one task, the idle pool or the
+//    flushed pool, so the counts always sum to n;
+//  * a task's committed count splits into working (visible) and paused
+//    ants; the working count is the task's visible load;
+//  * the flushed pool (ants evicted by mid-phase task death) merges into
+//    the idle pool only at a phase start, mirroring the aggregate kernels'
+//    flushed pools;
+//  * state is O(k) and sized at reset, so steady-state rounds perform zero
+//    heap allocations and memory does not grow with the colony.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +34,10 @@ class BatchedAgentRunner {
  public:
   virtual ~BatchedAgentRunner() = default;
 
-  // Prepares bucketed state for a colony of n ants over k tasks whose
-  // round-0 assignment is `initial` (size n; kIdle or a task id).
+  // Prepares count state for a colony of n ants over k tasks whose round-0
+  // per-task loads are `initial` (size k; the remaining ants are idle).
   virtual void reset(Count n_ants, std::int32_t k,
-                     std::span<const TaskId> initial, std::uint64_t seed) = 0;
+                     std::span<const Count> initial, std::uint64_t seed) = 0;
 
   // Lifecycle transition, called before step(t) whenever the active-task
   // set changes: flush every worker of a newly inactive task to the

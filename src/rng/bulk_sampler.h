@@ -2,11 +2,11 @@
 //
 // The batched agent fast path replaces O(n) per-ant Bernoulli streams with
 // O(k + moves) work per round: one exact count draw per (task group,
-// decision kind) to decide HOW MANY ants act, then an unbiased partial
-// Fisher-Yates over the group's index slice to decide WHICH. Because the
-// per-ant decisions are i.i.d. within a behavioural class, (Binomial count,
-// uniform subset) has exactly the joint law of per-ant coins — the count
-// draws carry the law and the selections carry exchangeability.
+// decision kind) decides HOW MANY ants act. Because the per-ant decisions
+// are i.i.d. within a behavioural class, the counts carry the whole law of
+// the colony's loads; which exchangeable ants act is never observed, except
+// where a count must be split across sub-classes (working vs paused
+// leavers), which takes one uniform pick per move.
 //
 // Two independent generator streams:
 //  * the COUNT stream carries the distributional draws (binomial /
@@ -58,17 +58,12 @@ class BulkSampler {
     return selection_gen_.uniform_below(bound);
   }
 
-  // Partial Fisher-Yates: moves `count` uniformly chosen distinct elements
-  // of `slice` into its suffix [slice.size() - count, slice.size()),
-  // permuting nothing else. Every size-`count` subset is equally likely.
-  template <typename T>
-  void select_to_suffix(std::span<T> slice, std::int64_t count) {
-    std::size_t end = slice.size();
-    for (std::int64_t s = 0; s < count; ++s) {
-      const std::size_t idx = static_cast<std::size_t>(pick(end));
-      --end;
-      std::swap(slice[idx], slice[end]);
-    }
+  // Advances the selection stream by `draws` picks without realizing them:
+  // exactly the generator calls `draws` pick() calls would make (one each),
+  // so later picks are unchanged. For selections whose outcome is never
+  // observed.
+  void skip(std::int64_t draws) {
+    for (std::int64_t i = 0; i < draws; ++i) selection_gen_();
   }
 
  private:

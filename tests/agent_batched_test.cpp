@@ -17,6 +17,10 @@
 //     at the exact value.
 //  3. FIXTURE: a committed golden trace of the batched stream; a live batched
 //     run must reproduce the replayed scalars exactly.
+//  4. BYTES AT SCALE: literal final loads, switches and regret of batched
+//     runs over the whole scenario registry at n = 65536 (and one run at
+//     n = 2^20) pin the switch ledger — which the aggregate cross-check in
+//     (1) does not compare — at the colony sizes the fast path is for.
 //
 // The batched golden fixture was produced by (regenerate + re-pin in the same
 // commit as any intentional batched-stream change):
@@ -28,6 +32,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iomanip>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,6 +45,7 @@
 #include "noise/exact.h"
 #include "noise/sigmoid.h"
 #include "sim/experiment.h"
+#include "sim/scenario.h"
 #include "stats/summary.h"
 
 #ifndef ANTALLOC_TEST_DATA_DIR
@@ -215,6 +222,109 @@ TEST(AgentBatched, GoldenTraceReplayMatchesLiveRun) {
   // 294369 switches) — equal in law, not in bits. Guard against the two
   // fixtures silently becoming the same file.
   EXPECT_NE(live.switches, 294369);
+}
+
+// Batched stream pins: Algorithm Ant on the batched path for every registry
+// scenario (lifecycle families included) at n = 65536, k = 4, plus one
+// constant-demand run at n = 2^20. The literals were produced by the
+// bucket-based runner that predates the count-only one; any change to the
+// count-stream draw order, to the selection-stream consumption or to the
+// switch ledger moves them. On a mismatch the failure message prints the
+// actual row, ready to re-pin.
+struct BatchedPin {
+  const char* scenario;
+  Count n_ants;
+  std::vector<Count> final_loads;
+  std::int64_t switches;
+  double total_regret;
+};
+
+const std::vector<BatchedPin>& batched_pins() {
+  static const std::vector<BatchedPin> pins = {
+      {"constant", 65536, {7478, 7441, 7374, 7399}, 3283392, 16500757},
+      {"single-shock", 65536, {21986, 7516, 7339, 7490}, 3950189, 19735581},
+      {"staircase", 65536, {21947, 13634, 9597, 7390}, 4149860, 14223979},
+      {"day-night", 65536, {7435, 7435, 7305, 7476}, 3285627, 18266593},
+      {"mass-death", 65536, {9597, 7573, 7405, 7431}, 3309840, 14819654},
+      {"correlated-shocks", 65536, {8523, 7478, 7419, 7479}, 3314759, 16848041},
+      {"ramp-drift", 65536, {8935, 7690, 7374, 7371}, 3293496, 14311916},
+      {"seasonal", 65536, {7723, 7467, 7414, 7377}, 3282991, 16527016},
+      {"adversarial-phase", 65536, {7419, 7484, 7318, 7453}, 3286500, 16514103},
+      {"growth-death", 65536, {7415, 7445, 7403, 7506}, 3284611, 16339698},
+      {"task-death", 65536, {7788, 7455, 7435, 0}, 2960630, 13920268},
+      {"task-birth", 65536, {7483, 7377, 7344, 21825}, 3481871, 17693140},
+      {"task-churn", 65536, {7360, 7502, 0, 23773}, 3536175, 18658575},
+      {"constant", 1048576, {176811, 176848, 177533, 177086}, 32368928,
+       172497996},
+  };
+  return pins;
+}
+
+struct PinRun {
+  Scenario scenario;
+  Count n_ants;
+  Round rounds;
+};
+
+SimResult batched_pin_run(const PinRun& run) {
+  ExperimentConfig cfg;
+  cfg.algo = {.name = "ant", .gamma = 0.05};
+  cfg.engine = Engine::kAgent;
+  cfg.sampling = SamplingMode::kBatched;
+  cfg.n_ants = run.n_ants;
+  cfg.rounds = run.rounds;
+  cfg.seed = 20261018;
+  cfg.initial = run.scenario.initial;
+  cfg.initial_loads = run.scenario.initial_loads;
+  cfg.metrics.gamma = 0.05;
+  SigmoidFeedback fm(0.05);
+  return run_experiment(cfg, fm, run.scenario.schedule);
+}
+
+TEST(AgentBatched, StreamPinnedByValue) {
+  constexpr Round kRounds = 600;
+  const DemandVector base(
+      {Count{6000}, Count{4000}, Count{3000}, Count{2000}});
+  std::vector<PinRun> runs;
+  for (Scenario& sc : registry_scenarios(base, kRounds, /*seed=*/9)) {
+    runs.push_back({std::move(sc), 65536, kRounds});
+  }
+  ScenarioSpec constant;
+  constant.name = "constant";
+  runs.push_back({make_scenario(constant,
+                                DemandVector({Count{96000}, Count{64000},
+                                              Count{48000}, Count{32000}}),
+                                300),
+                  Count{1} << 20, 300});
+
+  std::size_t checked = 0;
+  for (const PinRun& run : runs) {
+    const SimResult res = batched_pin_run(run);
+
+    std::ostringstream actual;
+    actual << "{\"" << run.scenario.family << "\", " << run.n_ants << ", {";
+    for (std::size_t j = 0; j < res.final_loads.size(); ++j) {
+      actual << (j ? ", " : "") << res.final_loads[j];
+    }
+    actual << "}, " << res.switches << ", " << std::setprecision(17)
+           << res.total_regret << "},";
+
+    const BatchedPin* pin = nullptr;
+    for (const BatchedPin& p : batched_pins()) {
+      if (run.scenario.family == p.scenario && run.n_ants == p.n_ants) {
+        pin = &p;
+      }
+    }
+    if (pin == nullptr) {
+      ADD_FAILURE() << "no pin; actual " << actual.str();
+      continue;
+    }
+    ++checked;
+    EXPECT_EQ(res.final_loads, pin->final_loads) << actual.str();
+    EXPECT_EQ(res.switches, pin->switches) << actual.str();
+    EXPECT_EQ(res.total_regret, pin->total_regret) << actual.str();
+  }
+  EXPECT_EQ(checked, batched_pins().size()) << "stale pins in the table";
 }
 
 }  // namespace

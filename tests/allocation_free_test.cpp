@@ -5,6 +5,9 @@
 // only in round count: if any per-round path allocated, the longer run
 // would count more.
 //
+// The same counter also tallies bytes, which pins the batched path's O(k)
+// memory: runs differing only in colony size must allocate the same bytes.
+//
 // This file must stay its own test binary (the CMake one-binary-per-file
 // rule guarantees that): the operator new/delete replacements below are
 // process-global.
@@ -22,15 +25,18 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t alignment) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   // aligned_alloc requires size to be a multiple of alignment.
   const std::size_t padded = (size + alignment - 1) / alignment * alignment;
   if (void* p = std::aligned_alloc(alignment, padded == 0 ? alignment : padded)) {
@@ -67,14 +73,20 @@ namespace {
 
 std::uint64_t g_sink = 0;  // keeps results observable
 
-std::uint64_t allocations_for_run(SamplingMode mode, Round rounds) {
-  const std::uint64_t before =
+struct Tally {
+  std::uint64_t allocations;
+  std::uint64_t bytes;
+};
+
+Tally tally_run(SamplingMode mode, Round rounds, Count n_ants) {
+  const std::uint64_t allocations_before =
       g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t bytes_before = g_bytes.load(std::memory_order_relaxed);
   {
     AntAgent algo(AntParams{.gamma = 0.05});
     SigmoidFeedback fm(1.0);
     const DemandVector demands({Count{60}, Count{40}});
-    AgentSimConfig cfg{.n_ants = 512,
+    AgentSimConfig cfg{.n_ants = n_ants,
                        .rounds = rounds,
                        .seed = 7,
                        .metrics = {.gamma = 0.05},
@@ -82,7 +94,12 @@ std::uint64_t allocations_for_run(SamplingMode mode, Round rounds) {
     const auto res = run_agent_sim(algo, fm, demands, cfg);
     g_sink += static_cast<std::uint64_t>(res.switches);
   }
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return {g_allocations.load(std::memory_order_relaxed) - allocations_before,
+          g_bytes.load(std::memory_order_relaxed) - bytes_before};
+}
+
+std::uint64_t allocations_for_run(SamplingMode mode, Round rounds) {
+  return tally_run(mode, rounds, 512).allocations;
 }
 
 class AllocationFree : public ::testing::TestWithParam<SamplingMode> {};
@@ -111,6 +128,19 @@ INSTANTIATE_TEST_SUITE_P(SamplingModes, AllocationFree,
                                       ? "per_ant"
                                       : "batched";
                          });
+
+TEST(AllocationFreeBatched, ColonySizeDoesNotChangeAllocatedBytes) {
+  // The batched runner keeps per-task counts, not per-ant state, and the
+  // engine builds no per-ant assignment on that path: a 2^20-ant colony
+  // must allocate exactly the bytes a 512-ant one does.
+  (void)tally_run(SamplingMode::kBatched, 50, 512);  // warm-up, as above
+
+  const Tally small = tally_run(SamplingMode::kBatched, 100, 512);
+  const Tally large = tally_run(SamplingMode::kBatched, 100, Count{1} << 20);
+  EXPECT_EQ(small.bytes, large.bytes)
+      << "batched-run memory grows with the colony size";
+  EXPECT_GT(small.bytes, 0u);
+}
 
 }  // namespace
 }  // namespace antalloc

@@ -4,15 +4,11 @@
 //    binomial / multinomial draws are bit-identical to the scalar helpers on
 //    a generator with the same seed — this is what aligns the batched agent
 //    engine with the aggregate kernels;
-//  * the SELECTION stream's partial Fisher-Yates is exchangeable: every
-//    size-c subset of a bucket is equally likely, so (count, selection) has
-//    exactly the joint law of per-ant i.i.d. coins.
+//  * the SELECTION stream's skip(m) is m discarded picks, so a runner that
+//    skips the picks whose outcome it never observes keeps every later pick
+//    — and so every byte of its output — unchanged.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
-#include <bit>
-#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -75,72 +71,21 @@ TEST(BulkSampler, JoinMarginalsMatchExactMarginals) {
   }
 }
 
-TEST(BulkSampler, SelectToSuffixBoundaryCounts) {
-  BulkSampler bulk(3, 4);
-  std::vector<std::int32_t> items(6);
-  std::iota(items.begin(), items.end(), 0);
-  const std::vector<std::int32_t> before = items;
-
-  bulk.select_to_suffix(std::span<std::int32_t>(items), 0);
-  EXPECT_EQ(items, before);  // count = 0: untouched
-
-  bulk.select_to_suffix(std::span<std::int32_t>(items),
-                        static_cast<std::int64_t>(items.size()));
-  std::vector<std::int32_t> sorted = items;  // count = m: a permutation
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, before);
-}
-
-TEST(BulkSampler, SelectToSuffixIsExchangeable) {
-  // m = 8 elements, c = 3 selected per trial. Exchangeability means the
-  // selected subset is uniform over all C(8,3) = 56 subsets. Two checks:
-  // the per-element marginal (must be c/m each) and a chi-square over the
-  // full subset distribution.
-  constexpr std::size_t kM = 8;
-  constexpr std::int64_t kC = 3;
-  constexpr int kTrials = 56'000;
-  BulkSampler bulk(11, 13);
-
-  std::array<std::int64_t, kM> element_hits{};
-  std::array<std::int64_t, 256> subset_hits{};
-  for (int trial = 0; trial < kTrials; ++trial) {
-    std::array<std::int32_t, kM> items{};
-    std::iota(items.begin(), items.end(), 0);
-    bulk.select_to_suffix(std::span<std::int32_t>(items), kC);
-    std::uint32_t subset = 0;
-    for (std::size_t i = kM - kC; i < kM; ++i) {
-      ++element_hits[static_cast<std::size_t>(items[i])];
-      subset |= 1u << items[i];
+TEST(BulkSampler, SkipEqualsDiscardedPicks) {
+  for (const std::int64_t m : {0, 1, 63, 100'000}) {
+    BulkSampler skipped(5, 77);
+    BulkSampler picked(5, 77);
+    skipped.skip(m);
+    for (std::int64_t i = 0; i < m; ++i) {
+      // Bounds vary to show a pick's bound does not change how far it
+      // advances the stream.
+      (void)picked.pick(static_cast<std::uint64_t>(i % 1000) + 1);
     }
-    ++subset_hits[subset];
+    EXPECT_EQ(skipped.pick(1'000'003), picked.pick(1'000'003)) << "m=" << m;
+    // The count stream is untouched by either.
+    EXPECT_EQ(skipped.binomial(1000, 0.3), picked.binomial(1000, 0.3))
+        << "m=" << m;
   }
-
-  // Marginals: each element is selected Binomial(trials, 3/8); 4.5 sigma.
-  const double marginal = static_cast<double>(kC) / kM;
-  const double se =
-      std::sqrt(marginal * (1.0 - marginal) / kTrials);
-  for (std::size_t e = 0; e < kM; ++e) {
-    const double freq = static_cast<double>(element_hits[e]) / kTrials;
-    EXPECT_NEAR(freq, marginal, 4.5 * se) << "element " << e;
-  }
-
-  // Joint: chi-square over the 56 subsets, expected kTrials/56 = 1000 each.
-  // df = 55, mean 55, sd ~10.5; 150 is ~9 sigma — it never trips on a
-  // correct sampler but any systematic subset bias blows far past it.
-  double chi2 = 0.0;
-  int populated = 0;
-  const double expected = static_cast<double>(kTrials) / 56.0;
-  for (std::size_t mask = 0; mask < subset_hits.size(); ++mask) {
-    if (std::popcount(mask) != kC) {
-      EXPECT_EQ(subset_hits[mask], 0) << "non-3-subset mask " << mask;
-      continue;
-    }
-    ++populated;
-    const double diff = static_cast<double>(subset_hits[mask]) - expected;
-    chi2 += diff * diff / expected;
-  }
-  EXPECT_EQ(populated, 56);
-  EXPECT_LT(chi2, 150.0);
 }
 
 }  // namespace
