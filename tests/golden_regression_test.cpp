@@ -5,6 +5,7 @@
 // commit as the behaviour change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iomanip>
 #include <memory>
 #include <sstream>
@@ -23,6 +24,8 @@
 #include "noise/exact.h"
 #include "noise/sigmoid.h"
 #include "rng/xoshiro.h"
+#include "sim/experiment.h"
+#include "sim/scenario.h"
 
 #ifndef ANTALLOC_TEST_DATA_DIR
 #define ANTALLOC_TEST_DATA_DIR "tests/data"
@@ -304,6 +307,208 @@ TEST(PerAntStream, PinnedByValueForEveryAlgorithmAndNoise) {
     }
   }
   EXPECT_EQ(checked, per_ant_pins().size()) << "stale pins in the table";
+}
+
+
+// Scenario-matrix pins: whole registry scenarios, lifecycle families
+// included, so each engine's segment cursor, retire flush and lifecycle
+// hooks are pinned by value and not only by sanity bounds. Same idiom as
+// the per-ant pins above: the literals were produced by this build, and a
+// mismatch prints the actual row, ready to re-pin.
+struct ScenarioPin {
+  const char* algo;
+  const char* scenario;
+  std::vector<Count> final_loads;
+  std::int64_t switches;
+  double total_regret;
+};
+
+struct ScenarioPinSetup {
+  Engine engine;
+  Count n_ants;
+  Round rounds;
+  DemandVector base;
+};
+
+void expect_scenario_pins(const std::vector<ScenarioPin>& pins,
+                          const ScenarioPinSetup& setup,
+                          const std::vector<std::string>& algos,
+                          const std::vector<std::string>& families) {
+  std::size_t checked = 0;
+  for (const std::string& algo_name : algos) {
+    for (const Scenario& scenario :
+         registry_scenarios(setup.base, setup.rounds, /*seed=*/9)) {
+      if (std::find(families.begin(), families.end(), scenario.family) ==
+          families.end()) {
+        continue;
+      }
+      ExperimentConfig cfg;
+      cfg.algo = {.name = algo_name, .gamma = 0.05, .epsilon = 0.9};
+      cfg.engine = setup.engine;
+      cfg.sampling = SamplingMode::kPerAnt;
+      cfg.n_ants = setup.n_ants;
+      cfg.rounds = setup.rounds;
+      cfg.seed = 20261019;
+      cfg.initial = scenario.initial;
+      cfg.initial_loads = scenario.initial_loads;
+      cfg.metrics.gamma = 0.05;
+      SigmoidFeedback fm(0.05);
+      const SimResult res = run_experiment(cfg, fm, scenario.schedule);
+
+      std::ostringstream actual;
+      actual << "{\"" << algo_name << "\", \"" << scenario.family << "\", {";
+      for (std::size_t j = 0; j < res.final_loads.size(); ++j) {
+        actual << (j ? ", " : "") << res.final_loads[j];
+      }
+      actual << "}, " << res.switches << ", " << std::setprecision(17)
+             << res.total_regret << "},";
+
+      const ScenarioPin* pin = nullptr;
+      for (const ScenarioPin& p : pins) {
+        if (algo_name == p.algo && scenario.family == p.scenario) pin = &p;
+      }
+      if (pin == nullptr) {
+        ADD_FAILURE() << "no pin; actual " << actual.str();
+        continue;
+      }
+      ++checked;
+      EXPECT_EQ(res.final_loads, pin->final_loads) << actual.str();
+      EXPECT_EQ(res.switches, pin->switches) << actual.str();
+      EXPECT_EQ(res.total_regret, pin->total_regret) << actual.str();
+    }
+  }
+  EXPECT_EQ(checked, pins.size()) << "stale pins in the table";
+}
+
+const std::vector<ScenarioPin>& aggregate_pins() {
+  static const std::vector<ScenarioPin> pins = {
+      {"ant", "constant", {1340, 918, 593}, 236657, 411612},
+      {"ant", "single-shock", {2483, 879, 609}, 272353, 441232},
+      {"ant", "staircase", {1827, 1298, 875}, 285610, 1034775},
+      {"ant", "day-night", {1522, 752, 603}, 251723, 804914},
+      {"ant", "mass-death", {1851, 1263, 665}, 267017, 380331},
+      {"ant", "correlated-shocks", {1357, 776, 595}, 249792, 525859},
+      {"ant", "ramp-drift", {1781, 1471, 642}, 269014, 350291},
+      {"ant", "seasonal", {1544, 1146, 617}, 262951, 626274},
+      {"ant", "adversarial-phase", {1624, 902, 1093}, 261643, 589126},
+      {"ant", "growth-death", {1374, 954, 600}, 250940, 484428},
+      {"ant", "task-death", {1608, 1159, 0}, 251817, 500286},
+      {"ant", "task-birth", {1337, 913, 756}, 247016, 455083},
+      {"ant", "task-churn", {1346, 0, 1296}, 216508, 477874},
+      {"precise-sigmoid", "constant", {1331, 1331, 1329}, 977, 945191},
+      {"precise-sigmoid", "single-shock", {1342, 1331, 1327}, 1034, 1227941},
+      {"precise-sigmoid", "staircase", {1337, 1335, 1328}, 1058, 1293976},
+      {"precise-sigmoid", "day-night", {1330, 1331, 1327}, 1016, 1233398},
+      {"precise-sigmoid", "mass-death", {1344, 1331, 1324}, 1017, 866361},
+      {"precise-sigmoid", "correlated-shocks", {1338, 1331, 1330},
+        1025, 1044920},
+      {"precise-sigmoid", "ramp-drift", {1340, 1334, 1324}, 980, 739301},
+      {"precise-sigmoid", "seasonal", {1337, 1330, 1328}, 1063, 1016437},
+      {"precise-sigmoid", "adversarial-phase", {1331, 1331, 1329}, 977, 945191},
+      {"precise-sigmoid", "growth-death", {1337, 1328, 1329}, 1050, 946088},
+      {"precise-sigmoid", "task-death", {2665, 1331, 0}, 3656, 891146},
+      {"precise-sigmoid", "task-birth", {2662, 1332, 6}, 3652, 1131684},
+      {"precise-sigmoid", "task-churn", {1329, 0, 1334}, 9919, 547908},
+      {"trivial", "constant", {1343, 1344, 1313}, 2397570, 1198785},
+      {"trivial", "single-shock", {1111, 1785, 1101}, 2015281, 1185486},
+      {"trivial", "staircase", {2040, 1451, 509}, 966224, 1273366},
+      {"trivial", "day-night", {1369, 1308, 1323}, 2398998, 1200459},
+      {"trivial", "mass-death", {1002, 1999, 999}, 2098154, 1177051},
+      {"trivial", "correlated-shocks", {1, 1307, 1280}, 2294538, 1170514},
+      {"trivial", "ramp-drift", {1988, 1033, 979}, 1964010, 1124670},
+      {"trivial", "seasonal", {0, 1182, 1169}, 2323049, 1168915},
+      {"trivial", "adversarial-phase", {1278, 1371, 1351}, 2398226, 1199113},
+      {"trivial", "growth-death", {1363, 1354, 1283}, 2262354, 1150661},
+      {"trivial", "task-death", {1993, 2007, 0}, 2398728, 1199364},
+      {"trivial", "task-birth", {0, 0, 684}, 2399328, 1199780},
+      {"trivial", "task-churn", {1942, 0, 2058}, 2399620, 1200209},
+      {"sharp-threshold", "constant", {2035, 598, 384}, 1222539, 596145},
+      {"sharp-threshold", "single-shock", {1292, 468, 265}, 1055521, 550068},
+      {"sharp-threshold", "staircase", {1945, 1392, 663}, 503924, 976032},
+      {"sharp-threshold", "day-night", {434, 335, 252}, 1250565, 684500},
+      {"sharp-threshold", "mass-death", {1939, 1314, 590}, 1110343, 555998},
+      {"sharp-threshold", "correlated-shocks", {794, 482, 1125},
+        1240771, 629956},
+      {"sharp-threshold", "ramp-drift", {948, 791, 661}, 1198098, 596493},
+      {"sharp-threshold", "seasonal", {1787, 1721, 248}, 1226594, 609198},
+      {"sharp-threshold", "adversarial-phase", {1039, 553, 831},
+        1219743, 600117},
+      {"sharp-threshold", "growth-death", {1837, 1447, 317}, 1233411, 618051},
+      {"sharp-threshold", "task-death", {1068, 917, 0}, 1218833, 594719},
+      {"sharp-threshold", "task-birth", {2270, 527, 364}, 1209547, 596858},
+      {"sharp-threshold", "task-churn", {2291, 0, 1709}, 1261046, 695210},
+      {"oracle", "constant", {1200, 800, 400}, 1600, 0},
+      {"oracle", "single-shock", {2400, 800, 400}, 2800, 0},
+      {"oracle", "staircase", {3427, 573, 0}, 6022, 706554},
+      {"oracle", "day-night", {720, 480, 240}, 4480, 0},
+      {"oracle", "mass-death", {1714, 1143, 571}, 2628, 0},
+      {"oracle", "correlated-shocks", {1210, 662, 307}, 4057, 0},
+      {"oracle", "ramp-drift", {1687, 1380, 560}, 2827, 0},
+      {"oracle", "seasonal", {1067, 1037, 325}, 18473, 0},
+      {"oracle", "adversarial-phase", {1200, 800, 400}, 4000, 0},
+      {"oracle", "growth-death", {1228, 819, 409}, 3360, 0},
+      {"oracle", "task-death", {1440, 960, 0}, 2400, 0},
+      {"oracle", "task-birth", {1200, 800, 400}, 2612, 0},
+      {"oracle", "task-churn", {1200, 0, 400}, 5600, 0},
+  };
+  return pins;
+}
+
+// Every kernel algorithm that simulates sigmoid noise exactly, over every
+// registry scenario, on the aggregate engine.
+TEST(AggregateStream, PinnedByValue) {
+  std::vector<std::string> algos;
+  for (const std::string& name : algorithm_names()) {
+    if (has_aggregate_kernel(name) && name != "precise-adversarial") {
+      algos.push_back(name);
+    }
+  }
+  expect_scenario_pins(
+      aggregate_pins(),
+      {.engine = Engine::kAggregate,
+       .n_ants = 4000,
+       .rounds = 600,
+       .base = DemandVector({Count{1200}, Count{800}, Count{400}})},
+      algos, scenario_names());
+}
+
+const std::vector<ScenarioPin>& per_ant_lifecycle_pins() {
+  static const std::vector<ScenarioPin> pins = {
+      {"ant", "task-death", {203, 159, 0}, 21982, 53148},
+      {"ant", "task-birth", {171, 136, 80}, 21969, 53168},
+      {"ant", "task-churn", {188, 0, 102}, 19354, 51028},
+      {"precise-sigmoid", "task-death", {242, 131, 0}, 315, 64993},
+      {"precise-sigmoid", "task-birth", {247, 131, 18}, 336, 78953},
+      {"precise-sigmoid", "task-churn", {134, 0, 263}, 1629, 60340},
+      {"precise-adversarial", "task-death", {134, 132, 0}, 206, 46941},
+      {"precise-adversarial", "task-birth", {134, 132, 0}, 190, 36178},
+      {"precise-adversarial", "task-churn", {134, 0, 0}, 294, 36870},
+      {"trivial", "task-death", {200, 200, 0}, 180616, 90134},
+      {"trivial", "task-birth", {18, 7, 4}, 180119, 89010},
+      {"trivial", "task-churn", {223, 0, 177}, 187384, 93590},
+      {"sharp-threshold", "task-death", {213, 163, 0}, 94030, 38081},
+      {"sharp-threshold", "task-birth", {82, 80, 50}, 93210, 37404},
+      {"sharp-threshold", "task-churn", {95, 0, 99}, 92686, 38510},
+      {"threshold", "task-death", {135, 94, 0}, 14907, 6881},
+      {"threshold", "task-birth", {117, 76, 44}, 15085, 7012},
+      {"threshold", "task-churn", {115, 0, 47}, 13994, 6393},
+      {"oracle", "task-death", {144, 96, 0}, 318, 0},
+      {"oracle", "task-birth", {120, 80, 40}, 234, 0},
+      {"oracle", "task-churn", {120, 0, 40}, 774, 0},
+  };
+  return pins;
+}
+
+// The per-ant flush loop and every algorithm's on_lifecycle hook: the
+// constant-schedule pins above never cross a task birth or death.
+TEST(PerAntStream, PinnedByValueOverTaskLifecycle) {
+  expect_scenario_pins(
+      per_ant_lifecycle_pins(),
+      {.engine = Engine::kAgent,
+       .n_ants = 400,
+       .rounds = 480,
+       .base = DemandVector({Count{120}, Count{80}, Count{40}})},
+      algorithm_names(), {"task-birth", "task-death", "task-churn"});
 }
 
 }  // namespace
