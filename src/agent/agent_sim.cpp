@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "algo/batched.h"
+#include "metrics/round_loop.h"
 #include "rng/splitmix.h"
 
 namespace antalloc {
@@ -25,56 +26,37 @@ std::vector<TaskId> initial_assignment(Count n_ants,
 }
 
 // Batched fast path: the runner advances the whole colony with bulk count
-// draws; the engine only supplies per-task marginals and records rounds.
+// draws; the engine only supplies per-task marginals.
 SimResult run_batched(BatchedAgentRunner& runner, const FeedbackModel& fm,
                       const DemandSchedule& schedule, const AgentSimConfig& cfg,
-                      std::int32_t k, std::vector<Count> loads) {
+                      std::vector<Count> loads) {
+  const std::int32_t k = schedule.num_tasks();
   runner.reset(cfg.n_ants, k, loads, cfg.seed);
-
-  MetricsRecorder recorder(k, cfg.n_ants, cfg.metrics);
   std::vector<double> p_lack(static_cast<std::size_t>(k), 0.0);
 
-  const bool lifecycle = schedule.has_lifecycle();
-  ActiveSet current_active = ActiveSet::all(k);
-  std::uint64_t active_mask = current_active.mask64();
-  std::size_t prev_segment = static_cast<std::size_t>(-1);
-
-  for (Round t = 1; t <= cfg.rounds; ++t) {
-    const std::size_t segment = schedule.segment_index_at(t);
-    const DemandVector& demands = schedule.segment_demands(segment);
-    std::int64_t flushed = 0;
-    if (lifecycle && segment != prev_segment) {
-      const ActiveSet& active = schedule.segment_active(segment);
-      if (active != current_active) {
-        flushed = runner.apply_lifecycle(t, active, loads);
-        current_active = active;
-        active_mask = current_active.mask64();
-      }
-    }
-    prev_segment = segment;
-    // Per-ant marginal lack probability of each task this round. Feedback
-    // reflects the loads at time t-1; dormant tasks answer unconditional
-    // overload, i.e. marginal 0.
-    for (std::int32_t j = 0; j < k; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      p_lack[ju] =
-          ((active_mask >> j) & 1)
-              ? fm.lack_probability(t, j,
-                                    static_cast<double>(demands[j] - loads[ju]),
-                                    static_cast<double>(demands[j]))
-              : 0.0;
-    }
-
-    const std::int64_t switches = runner.step(t, p_lack, active_mask, loads);
-
-    recorder.record_round(RoundView{.t = t,
-                                    .loads = loads,
-                                    .demands = &demands,
-                                    .active = &current_active,
-                                    .switches = flushed + switches,
-                                    .flushes = flushed});
-  }
-  return recorder.finish(loads);
+  return drive_rounds(
+      schedule, cfg.rounds, cfg.n_ants, cfg.metrics, loads,
+      [&](Round t, const ActiveSet& active) {
+        return runner.apply_lifecycle(t, active, loads);
+      },
+      [&](Round t, const DemandVector& demands, const ActiveSet& active) {
+        // Per-ant marginal lack probability of each task this round.
+        // Feedback reflects the loads at time t-1; dormant tasks answer
+        // unconditional overload, i.e. marginal 0.
+        const std::uint64_t active_mask = active.mask64();
+        for (std::int32_t j = 0; j < k; ++j) {
+          const auto ju = static_cast<std::size_t>(j);
+          p_lack[ju] = ((active_mask >> j) & 1)
+                           ? fm.lack_probability(
+                                 t, j,
+                                 static_cast<double>(demands[j] - loads[ju]),
+                                 static_cast<double>(demands[j]))
+                           : 0.0;
+        }
+        const std::int64_t switches =
+            runner.step(t, p_lack, active_mask, loads);
+        return RoundStep{.loads = loads, .switches = switches};
+      });
 }
 
 }  // namespace
@@ -97,22 +79,15 @@ SimResult run_agent_sim(AgentAlgorithm& algo, FeedbackModel& fm,
   if (k > kMaxAgentTasks) {
     throw std::invalid_argument("run_agent_sim: k exceeds kMaxAgentTasks");
   }
-  std::vector<Count> loads(static_cast<std::size_t>(k), 0);
-  if (!cfg.initial_loads.empty()) {
-    if (cfg.initial_loads.size() != static_cast<std::size_t>(k)) {
-      throw std::invalid_argument("run_agent_sim: initial_loads size");
-    }
-    loads = cfg.initial_loads;
-  }
-  // Validates that the loads fit within the colony.
-  Allocation init(cfg.n_ants, loads);
+  const Allocation init = starting_allocation(cfg.n_ants, k, cfg.initial_loads);
+  std::vector<Count> loads(init.loads().begin(), init.loads().end());
 
   // Batched sampling applies only when the algorithm offers a runner and the
   // per-ant draws are exchangeable (i.i.d. given the loads); anything else
   // falls back to the per-ant stream, which is always correct.
   if (cfg.sampling == SamplingMode::kBatched && fm.iid_across_ants()) {
     if (BatchedAgentRunner* runner = algo.batched_runner()) {
-      return run_batched(*runner, fm, schedule, cfg, k, std::move(loads));
+      return run_batched(*runner, fm, schedule, cfg, std::move(loads));
     }
   }
 
@@ -120,36 +95,15 @@ SimResult run_agent_sim(AgentAlgorithm& algo, FeedbackModel& fm,
   std::vector<TaskId> next_assignment(assignment.size(), kIdle);
   algo.reset(cfg.n_ants, k, assignment, cfg.seed);
 
-  MetricsRecorder recorder(k, cfg.n_ants, cfg.metrics);
   std::vector<double> deficits(static_cast<std::size_t>(k), 0.0);
   rng::Xoshiro256 model_gen(rng::hash_combine(cfg.seed, 0xBEEFull));
 
-  // Task lifecycle: the engine starts from the all-active assumption the
-  // initial allocation was built under, and applies retire transitions at
-  // every segment boundary where the active set changes (including round 1,
-  // which flushes initial loads placed on tasks that are dormant from the
-  // start). The flush is deterministic: workers of a dying task go straight
-  // to kIdle.
-  const bool lifecycle = schedule.has_lifecycle();
-  ActiveSet current_active = ActiveSet::all(k);
-  std::uint64_t active_mask = current_active.mask64();
-  std::size_t prev_segment = static_cast<std::size_t>(-1);
-
-  for (Round t = 1; t <= cfg.rounds; ++t) {
-    // One segment lookup per round serves both the demands and (on segment
-    // changes only) the active set.
-    const std::size_t segment = schedule.segment_index_at(t);
-    const DemandVector& demands = schedule.segment_demands(segment);
-    std::int64_t flushed = 0;
-    if (lifecycle && segment != prev_segment) {
-      const ActiveSet& active = schedule.segment_active(segment);
-      if (active != current_active) {
-        // The retirement flush is its own switch event, part of round t's
-        // count; the post-step diff below runs against the post-flush
-        // snapshot. An ant that is flushed and immediately re-recruited
-        // therefore counts twice (task -> idle -> task), the same
-        // convention the aggregate kernels' apply_lifecycle + join
-        // accounting produces.
+  return drive_rounds(
+      schedule, cfg.rounds, cfg.n_ants, cfg.metrics, loads,
+      [&](Round t, const ActiveSet& active) {
+        // Deterministic retirement: workers of a dying task go straight to
+        // kIdle, and the step's diff runs against this post-flush snapshot.
+        Count flushed = 0;
         for (auto& a : assignment) {
           if (a != kIdle && !active[a]) {
             --loads[static_cast<std::size_t>(a)];
@@ -158,47 +112,40 @@ SimResult run_agent_sim(AgentAlgorithm& algo, FeedbackModel& fm,
           }
         }
         algo.on_lifecycle(t, active);
-        current_active = active;
-        active_mask = current_active.mask64();
-      }
-    }
-    prev_segment = segment;
-    // Feedback in round t reflects the loads at time t-1; dormant tasks are
-    // outside the problem, so their deficit is pinned to zero (their
-    // feedback is unconditionally overload regardless).
-    for (std::int32_t j = 0; j < k; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      deficits[ju] = ((active_mask >> j) & 1)
-                         ? static_cast<double>(demands[j] - loads[ju])
-                         : 0.0;
-    }
-    fm.begin_round(t, deficits, demands.values(), model_gen);
-    const FeedbackAccess fb(fm, t, deficits, demands.values(), cfg.seed,
-                            active_mask);
+        return flushed;
+      },
+      [&](Round t, const DemandVector& demands, const ActiveSet& active) {
+        // Feedback in round t reflects the loads at time t-1; dormant tasks
+        // are outside the problem, so their deficit is pinned to zero (their
+        // feedback is unconditionally overload regardless).
+        const std::uint64_t active_mask = active.mask64();
+        for (std::int32_t j = 0; j < k; ++j) {
+          const auto ju = static_cast<std::size_t>(j);
+          deficits[ju] = ((active_mask >> j) & 1)
+                             ? static_cast<double>(demands[j] - loads[ju])
+                             : 0.0;
+        }
+        fm.begin_round(t, deficits, demands.values(), model_gen);
+        const FeedbackAccess fb(fm, t, deficits, demands.values(), cfg.seed,
+                                active_mask);
 
-    algo.step(t, fb, assignment, next_assignment);
+        algo.step(t, fb, assignment, next_assignment);
 
-    // Fused incremental diff: update loads and count exact switches against
-    // the post-flush snapshot, then swap the double-buffered assignments —
-    // no per-round O(n) copy or O(k) refill.
-    std::int64_t switches = 0;
-    for (std::size_t i = 0; i < assignment.size(); ++i) {
-      const TaskId was = assignment[i];
-      const TaskId now = next_assignment[i];
-      if (now == was) continue;
-      ++switches;
-      if (was != kIdle) --loads[static_cast<std::size_t>(was)];
-      if (now != kIdle) ++loads[static_cast<std::size_t>(now)];
-    }
-    assignment.swap(next_assignment);
-    recorder.record_round(RoundView{.t = t,
-                                    .loads = loads,
-                                    .demands = &demands,
-                                    .active = &current_active,
-                                    .switches = flushed + switches,
-                                    .flushes = flushed});
-  }
-  return recorder.finish(loads);
+        // Fused incremental diff: update loads and count exact switches,
+        // then swap the double-buffered assignments — no per-round O(n)
+        // copy or O(k) refill.
+        std::int64_t switches = 0;
+        for (std::size_t i = 0; i < assignment.size(); ++i) {
+          const TaskId was = assignment[i];
+          const TaskId now = next_assignment[i];
+          if (now == was) continue;
+          ++switches;
+          if (was != kIdle) --loads[static_cast<std::size_t>(was)];
+          if (now != kIdle) ++loads[static_cast<std::size_t>(now)];
+        }
+        assignment.swap(next_assignment);
+        return RoundStep{.loads = loads, .switches = switches};
+      });
 }
 
 SimResult run_agent_sim(AgentAlgorithm& algo, FeedbackModel& fm,

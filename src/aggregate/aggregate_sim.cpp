@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "metrics/round_loop.h"
+
 namespace antalloc {
 
 SimResult run_aggregate_sim(AggregateKernel& kernel, const FeedbackModel& fm,
@@ -14,55 +16,19 @@ SimResult run_aggregate_sim(AggregateKernel& kernel, const FeedbackModel& fm,
         "' cannot simulate feedback model '" + std::string(fm.name()) +
         "' exactly; use the agent engine");
   }
-  const std::int32_t k = schedule.num_tasks();
-  std::vector<Count> loads(static_cast<std::size_t>(k), 0);
-  if (!cfg.initial_loads.empty()) {
-    if (cfg.initial_loads.size() != static_cast<std::size_t>(k)) {
-      throw std::invalid_argument("run_aggregate_sim: initial_loads size");
-    }
-    loads = cfg.initial_loads;
-  }
-  const Allocation init(cfg.n_ants, loads);
+  const Allocation init =
+      starting_allocation(cfg.n_ants, schedule.num_tasks(), cfg.initial_loads);
   kernel.reset(init, cfg.seed);
 
-  MetricsRecorder recorder(k, cfg.n_ants, cfg.metrics);
-  AggregateKernel::RoundOutput out{};
-
-  // Task lifecycle: mirror the agent engine — start from the all-active
-  // assumption the initial allocation was built under and hand the kernel a
-  // retire/activate transition at every boundary where the active set
-  // changes (including round 1 for schedules whose first segment already
-  // has dormant tasks). The kernel returns the flushed visible workers,
-  // which are exactly the assignment changes the agent engine's diff counts.
-  const bool lifecycle = schedule.has_lifecycle();
-  ActiveSet current_active = ActiveSet::all(k);
-  std::size_t prev_segment = static_cast<std::size_t>(-1);
-
-  for (Round t = 1; t <= cfg.rounds; ++t) {
-    // One segment lookup per round serves both the demands and (on segment
-    // changes only) the active set.
-    const std::size_t segment = schedule.segment_index_at(t);
-    const DemandVector& demands = schedule.segment_demands(segment);
-    std::int64_t flushed = 0;
-    if (lifecycle && segment != prev_segment) {
-      const ActiveSet& active = schedule.segment_active(segment);
-      if (active != current_active) {
-        flushed = kernel.apply_lifecycle(t, active);
-        current_active = active;
-      }
-    }
-    prev_segment = segment;
-    out = kernel.step(t, demands, fm);
-    // One RoundView per round: the flush at a segment boundary is part of
-    // round t's switch count, exactly as the per-ant engine counts it.
-    recorder.record_round(RoundView{.t = t,
-                                    .loads = out.loads,
-                                    .demands = &demands,
-                                    .active = &current_active,
-                                    .switches = flushed + out.switches,
-                                    .flushes = flushed});
-  }
-  return recorder.finish(out.loads);
+  return drive_rounds(
+      schedule, cfg.rounds, cfg.n_ants, cfg.metrics, init.loads(),
+      [&](Round t, const ActiveSet& active) {
+        return kernel.apply_lifecycle(t, active);
+      },
+      [&](Round t, const DemandVector& demands, const ActiveSet&) {
+        const AggregateKernel::RoundOutput out = kernel.step(t, demands, fm);
+        return RoundStep{.loads = out.loads, .switches = out.switches};
+      });
 }
 
 SimResult run_aggregate_sim(AggregateKernel& kernel, const FeedbackModel& fm,

@@ -146,9 +146,15 @@ Allocation make_initial_allocation(InitialKind kind, Count n_ants,
   throw std::invalid_argument("make_initial_allocation: bad kind");
 }
 
-Allocation make_initial_allocation(std::string_view kind, Count n_ants,
-                                   std::int32_t k, std::uint64_t seed) {
-  return make_initial_allocation(parse_initial_kind(kind), n_ants, k, seed);
+Allocation starting_allocation(Count n_ants, std::int32_t k,
+                               std::span<const Count> loads) {
+  if (loads.empty()) return Allocation::all_idle(n_ants, k);
+  if (loads.size() != static_cast<std::size_t>(k)) {
+    throw std::invalid_argument(
+        "initial loads: " + std::to_string(loads.size()) + " entries for " +
+        std::to_string(k) + " tasks");
+  }
+  return Allocation(n_ants, {loads.begin(), loads.end()});
 }
 
 }  // namespace antalloc

@@ -75,8 +75,11 @@ std::vector<std::string> initial_kind_names();
 Allocation make_initial_allocation(InitialKind kind, Count n_ants,
                                    std::int32_t k, std::uint64_t seed);
 
-// String convenience: parse_initial_kind + the enum overload.
-Allocation make_initial_allocation(std::string_view kind, Count n_ants,
-                                   std::int32_t k, std::uint64_t seed);
+// The allocation a run starts from: explicit per-task `loads` (remaining
+// ants idle), or all ants idle when `loads` is empty. Throws
+// std::invalid_argument unless `loads` has one entry per task and the
+// entries fit within the colony.
+Allocation starting_allocation(Count n_ants, std::int32_t k,
+                               std::span<const Count> loads);
 
 }  // namespace antalloc

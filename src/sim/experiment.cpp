@@ -15,16 +15,10 @@ namespace {
 // exact seed the engines consume for feedback/decision draws.
 constexpr std::uint64_t kInitialAllocationStream = 0xA110C;
 
+// Explicit loads pass through as given: the engine validates them.
 std::vector<Count> initial_loads(const ExperimentConfig& cfg,
                                  std::int32_t k) {
-  if (!cfg.initial_loads.empty()) {
-    if (static_cast<std::int32_t>(cfg.initial_loads.size()) != k) {
-      throw std::invalid_argument(
-          "run_experiment: initial_loads size does not match the schedule's "
-          "task count");
-    }
-    return cfg.initial_loads;
-  }
+  if (!cfg.initial_loads.empty()) return cfg.initial_loads;
   const Allocation alloc = make_initial_allocation(
       cfg.initial, cfg.n_ants, k,
       rng::hash_combine(cfg.seed, kInitialAllocationStream));

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <numeric>
 
+#include "agent/agent_sim.h"
 #include "aggregate/aggregate_sim.h"
 #include "algo/ant.h"
 #include "noise/correlated.h"
@@ -84,6 +85,49 @@ TEST(AggregateSim, InitialLoadsValidated) {
                          .metrics = {}, .initial_loads = {Count{60}}};
   EXPECT_THROW(run_aggregate_sim(kernel, fm, demands, cfg),
                std::invalid_argument);
+}
+
+TEST(AggregateSim, RebalancesAfterDemandChange) {
+  // Self-stabilization over a change point: one task's demand drops and the
+  // other's rises, and the colony must re-converge to the new demands.
+  const double gamma = 0.05;
+  DemandSchedule schedule(DemandVector({Count{1000}, Count{800}}));
+  schedule.add_change(3001, DemandVector({Count{400}, Count{1400}}));
+  AntAggregate kernel(AntParams{.gamma = gamma});
+  const SigmoidFeedback fm(0.7);
+  AggregateSimConfig cfg{.n_ants = 8000,
+                         .rounds = 7000,
+                         .seed = 3,
+                         .metrics = {.gamma = gamma}};
+  const auto res = run_aggregate_sim(kernel, fm, schedule, cfg);
+  EXPECT_NEAR(static_cast<double>(res.final_loads[0]), 400.0,
+              5.0 * gamma * 400.0 + 20.0);
+  EXPECT_NEAR(static_cast<double>(res.final_loads[1]), 1400.0,
+              5.0 * gamma * 1400.0 + 20.0);
+}
+
+TEST(AggregateSim, ZeroRoundRunsReturnInitialLoadsOnEveryEngine) {
+  const std::vector<Count> initial{Count{30}, Count{20}};
+  const DemandVector demands({Count{100}, Count{100}});
+  SigmoidFeedback fm(1.0);
+
+  AntAggregate kernel(AntParams{.gamma = 0.05});
+  const AggregateSimConfig agg{.n_ants = 400, .rounds = 0, .seed = 1,
+                               .metrics = {}, .initial_loads = initial};
+  const SimResult aggregate = run_aggregate_sim(kernel, fm, demands, agg);
+  EXPECT_EQ(aggregate.rounds, 0);
+  EXPECT_EQ(aggregate.final_loads, initial);
+
+  for (const SamplingMode sampling :
+       {SamplingMode::kPerAnt, SamplingMode::kBatched}) {
+    AntAgent algo(AntParams{.gamma = 0.05});
+    const AgentSimConfig cfg{.n_ants = 400, .rounds = 0, .seed = 1,
+                             .metrics = {}, .initial_loads = initial,
+                             .sampling = sampling};
+    const SimResult agent = run_agent_sim(algo, fm, demands, cfg);
+    EXPECT_EQ(agent.rounds, 0) << to_string(sampling);
+    EXPECT_EQ(agent.final_loads, initial) << to_string(sampling);
+  }
 }
 
 }  // namespace

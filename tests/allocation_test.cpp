@@ -69,32 +69,34 @@ TEST(Allocation, SetLoads) {
 }
 
 TEST(InitialAllocation, Kinds) {
-  const auto idle = make_initial_allocation("idle", 100, 4, 1);
+  const auto idle = make_initial_allocation(InitialKind::kIdle, 100, 4, 1);
   EXPECT_EQ(idle.idle(), 100);
 
-  const auto uniform = make_initial_allocation("uniform", 102, 4, 1);
+  const auto uniform =
+      make_initial_allocation(InitialKind::kUniform, 102, 4, 1);
   EXPECT_EQ(uniform.idle(), 0);
   EXPECT_EQ(uniform.load(0), 26);
   EXPECT_EQ(uniform.load(3), 25);
 
-  const auto hostile = make_initial_allocation("adversarial", 100, 4, 1);
+  const auto hostile =
+      make_initial_allocation(InitialKind::kAdversarial, 100, 4, 1);
   EXPECT_EQ(hostile.load(0), 100);
   EXPECT_EQ(hostile.idle(), 0);
 
-  const auto random = make_initial_allocation("random", 1000, 4, 1);
+  const auto random =
+      make_initial_allocation(InitialKind::kRandom, 1000, 4, 1);
   const Count assigned = std::accumulate(random.loads().begin(),
                                          random.loads().end(), Count{0});
   EXPECT_EQ(assigned + random.idle(), 1000);
   // Each of the 5 bins (4 tasks + idle) should get roughly 200 ants.
   EXPECT_NEAR(static_cast<double>(random.idle()), 200.0, 80.0);
 
-  EXPECT_THROW(make_initial_allocation("bogus", 10, 2, 1),
-               std::invalid_argument);
+  EXPECT_THROW(parse_initial_kind("bogus"), std::invalid_argument);
 }
 
 TEST(InitialAllocation, RandomIsReproducible) {
-  const auto a = make_initial_allocation("random", 500, 3, 42);
-  const auto b = make_initial_allocation("random", 500, 3, 42);
+  const auto a = make_initial_allocation(InitialKind::kRandom, 500, 3, 42);
+  const auto b = make_initial_allocation(InitialKind::kRandom, 500, 3, 42);
   for (TaskId j = 0; j < 3; ++j) EXPECT_EQ(a.load(j), b.load(j));
 }
 

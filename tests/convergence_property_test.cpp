@@ -52,8 +52,8 @@ TEST_P(AntConvergence, DeficitsEnterAndStayInBand) {
 
   const Round rounds = 6000;
   const Round warmup = 4000;
-  const Allocation init =
-      make_initial_allocation(param.initial, n, param.k, 99);
+  const Allocation init = make_initial_allocation(
+      parse_initial_kind(param.initial), n, param.k, 99);
 
   AggregateSimConfig sim{
       .n_ants = n,
