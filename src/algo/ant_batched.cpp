@@ -1,6 +1,5 @@
 #include "algo/ant_batched.h"
 
-#include <numeric>
 #include <stdexcept>
 
 #include "rng/splitmix.h"
@@ -13,6 +12,24 @@ void AntBatchedRunner::reset(Count n_ants, std::int32_t k,
   if (k > kMaxAgentTasks) {
     throw std::invalid_argument("AntBatchedRunner: k exceeds kMaxAgentTasks");
   }
+  if (n_ants < 0) {
+    throw std::invalid_argument("AntBatchedRunner: negative colony size");
+  }
+  if (k < 0 || initial.size() != static_cast<std::size_t>(k)) {
+    throw std::invalid_argument(
+        "AntBatchedRunner: initial loads must have size k");
+  }
+  // Checked before any arithmetic on them: the per-task vectors are sized
+  // from k and the idle pool is n minus the initial loads.
+  Count assigned = 0;
+  for (const Count load : initial) {
+    if (load < 0 || load > n_ants - assigned) {
+      throw std::invalid_argument(
+          "AntBatchedRunner: initial loads must be non-negative and sum to "
+          "at most n");
+    }
+    assigned += load;
+  }
   // Count stream = AntAggregate's seed derivation (bit-compatible loads for
   // matched seeds); selection stream = its own tag.
   sampler_.emplace(rng::hash_combine(seed, 0xA99Au),
@@ -20,7 +37,7 @@ void AntBatchedRunner::reset(Count n_ants, std::int32_t k,
   const auto ku = static_cast<std::size_t>(k);
   committed_.assign(initial.begin(), initial.end());
   working_.assign(initial.begin(), initial.end());
-  idle_ = n_ants - std::accumulate(initial.begin(), initial.end(), Count{0});
+  idle_ = n_ants - assigned;
   flushed_ = 0;
   p1_lack_.assign(ku, 0.0);
   join_probs_.assign(ku, 0.0);
@@ -68,8 +85,8 @@ std::int64_t AntBatchedRunner::step_odd(std::span<const double> p_lack,
   // First round of the phase: record the first-sample distribution, then
   // pause a Binomial(n_j, cs*gamma) share of each task's workers. The
   // count-stream draw order (skip dormant, one binomial per active task)
-  // matches AntAggregate::step exactly; the selection stream advances one
-  // pick per paused ant.
+  // matches AntAggregate::step exactly; the selection stream owes one pick
+  // per paused ant, paid lazily by the next leave pick.
   std::int64_t switches = 0;
   for (std::size_t j = 0; j < committed_.size(); ++j) {
     if (((active_mask >> j) & 1) == 0) {
@@ -131,7 +148,7 @@ std::int64_t AntBatchedRunner::step_even(std::span<const double> p_lack,
 
   // Join counts use the same count-stream calls as the aggregate kernel:
   // exact marginals, then one conditional-binomial chain. The selection
-  // stream advances one pick per joiner.
+  // stream owes one pick per joiner, paid lazily by the next leave pick.
   sampler_->join_marginals(join_probs_, join_marginals_);
   sampler_->multinomial_rest(joinable, join_marginals_, joins_);
 

@@ -7,7 +7,11 @@
 // so per-round loads are bit-identical to the aggregate kernel for a matched
 // seed — and consumes the independent selection stream draw for draw as a
 // per-ant-id realization would, so the exact switch ledger is a function of
-// the same seeds.
+// the same seeds. The picks nothing observes (pauses, joins) are skipped:
+// BulkSampler::skip only adds them to a pending count, and the next leave
+// pick pays the whole count as one O(log m) jump-ahead of the generator, so
+// a round costs O(k + leavers) generator steps plus one jump per phase,
+// independent of how many ants pause or join.
 //
 // Law (why this equals the per-ant automaton):
 //  * odd round — each worker pauses i.i.d. w.p. cs*gamma, so the paused

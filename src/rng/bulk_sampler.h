@@ -6,7 +6,9 @@
 // are i.i.d. within a behavioural class, the counts carry the whole law of
 // the colony's loads; which exchangeable ants act is never observed, except
 // where a count must be split across sub-classes (working vs paused
-// leavers), which takes one uniform pick per move.
+// leavers), which takes one uniform pick per leaver. The picks nobody
+// observes are skipped: a skip only adds to a pending count, paid as one
+// O(log m) jump-ahead when the next observed pick needs the stream.
 //
 // Two independent generator streams:
 //  * the COUNT stream carries the distributional draws (binomial /
@@ -53,22 +55,30 @@ class BulkSampler {
 
   // --- Selection stream ----------------------------------------------------
 
-  // Uniform index in [0, bound); bound must be > 0.
+  // Uniform index in [0, bound); bound must be > 0. Pays the pending skips
+  // first, as one jump-ahead.
   std::uint64_t pick(std::uint64_t bound) {
+    if (pending_skips_ != 0) {
+      selection_gen_.discard(pending_skips_);
+      pending_skips_ = 0;
+    }
     return selection_gen_.uniform_below(bound);
   }
 
-  // Advances the selection stream by `draws` picks without realizing them:
-  // exactly the generator calls `draws` pick() calls would make (one each),
-  // so later picks are unchanged. For selections whose outcome is never
-  // observed.
+  // Advances the selection stream by `draws` picks without realizing them
+  // (one generator call each), so later picks are unchanged; draws <= 0 is
+  // a no-op. For selections whose outcome is never observed. The advance is
+  // lazy: skips add to a pending count, which the next pick() discards in
+  // O(log m) generator steps (Xoshiro256::discard), so a run whose later
+  // picks never come never pays for its skips.
   void skip(std::int64_t draws) {
-    for (std::int64_t i = 0; i < draws; ++i) selection_gen_();
+    if (draws > 0) pending_skips_ += static_cast<std::uint64_t>(draws);
   }
 
  private:
   Xoshiro256 count_gen_;
   Xoshiro256 selection_gen_;
+  std::uint64_t pending_skips_ = 0;  // selection draws owed before next pick
   ChoiceMarginalsWorkspace ws_;
 };
 

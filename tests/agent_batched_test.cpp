@@ -34,12 +34,14 @@
 #include <cmath>
 #include <iomanip>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "aggregate/aggregate_sim.h"
 #include "agent/agent_sim.h"
 #include "algo/ant.h"
+#include "algo/batched.h"
 #include "io/trace_reader.h"
 #include "metrics/metric.h"
 #include "noise/exact.h"
@@ -325,6 +327,26 @@ TEST(AgentBatched, StreamPinnedByValue) {
     EXPECT_EQ(res.total_regret, pin->total_regret) << actual.str();
   }
   EXPECT_EQ(checked, batched_pins().size()) << "stale pins in the table";
+}
+
+TEST(AgentBatched, ResetRejectsInconsistentInitialLoads) {
+  // The engine validates its starting allocation, but the runner's reset is
+  // public: loads of the wrong size would index past the per-task vectors,
+  // and loads summing past n would drive the idle pool negative.
+  AntAgent algo(AntParams{.gamma = 0.05});
+  BatchedAgentRunner* runner = algo.batched_runner();
+  ASSERT_NE(runner, nullptr);
+  const std::vector<Count> too_many{10, 20, 30};
+  const std::vector<Count> too_few{10};
+  const std::vector<Count> negative{10, -1};
+  const std::vector<Count> over_n{60, 50};
+  EXPECT_THROW(runner->reset(100, 2, too_many, 1), std::invalid_argument);
+  EXPECT_THROW(runner->reset(100, 2, too_few, 1), std::invalid_argument);
+  EXPECT_THROW(runner->reset(100, 2, negative, 1), std::invalid_argument);
+  EXPECT_THROW(runner->reset(100, 2, over_n, 1), std::invalid_argument);
+  EXPECT_THROW(runner->reset(-1, 0, {}, 1), std::invalid_argument);
+  const std::vector<Count> exact_n{60, 40};
+  EXPECT_NO_THROW(runner->reset(100, 2, exact_n, 1));
 }
 
 }  // namespace

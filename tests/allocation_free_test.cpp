@@ -21,6 +21,7 @@
 #include "agent/agent_sim.h"
 #include "algo/ant.h"
 #include "noise/sigmoid.h"
+#include "rng/xoshiro.h"
 
 namespace {
 
@@ -100,6 +101,19 @@ Tally tally_run(SamplingMode mode, Round rounds, Count n_ants) {
 
 std::uint64_t allocations_for_run(SamplingMode mode, Round rounds) {
   return tally_run(mode, rounds, 512).allocations;
+}
+
+TEST(AllocationFreeJump, FirstDiscardAllocatesNothing) {
+  // The jump table behind Xoshiro256::discard is constant-initialized: no
+  // first-use allocation, so the batched pins below do not depend on which
+  // test first touches it. Defined first, so this is the binary's first
+  // discard.
+  rng::Xoshiro256 gen(3);
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  gen.discard(std::uint64_t{1} << 30);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  g_sink += gen();
+  EXPECT_EQ(after - before, 0u);
 }
 
 class AllocationFree : public ::testing::TestWithParam<SamplingMode> {};

@@ -6,7 +6,8 @@
 //    engine with the aggregate kernels;
 //  * the SELECTION stream's skip(m) is m discarded picks, so a runner that
 //    skips the picks whose outcome it never observes keeps every later pick
-//    — and so every byte of its output — unchanged.
+//    — and so every byte of its output — unchanged. The skip is paid
+//    lazily, as one jump-ahead at the next pick.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -86,6 +87,31 @@ TEST(BulkSampler, SkipEqualsDiscardedPicks) {
     EXPECT_EQ(skipped.binomial(1000, 0.3), picked.binomial(1000, 0.3))
         << "m=" << m;
   }
+
+  // Skips are lazy: consecutive skips merge into one pending discard that
+  // the next pick pays, skip(m <= 0) is a no-op, and count draws made while
+  // skips are pending see an untouched count stream.
+  BulkSampler lazy(5, 77);
+  BulkSampler eager(5, 77);
+  Xoshiro256 count_ref(5);
+  lazy.skip(300);
+  lazy.skip(70'000);
+  EXPECT_EQ(lazy.binomial(1000, 0.3), binomial(count_ref, 1000, 0.3));
+  for (int i = 0; i < 70'300; ++i) (void)eager.pick(7);
+  (void)eager.binomial(1000, 0.3);
+  EXPECT_EQ(lazy.pick(1'000'003), eager.pick(1'000'003));
+  lazy.skip(12);
+  lazy.skip(0);
+  lazy.skip(-3);
+  for (int i = 0; i < 12; ++i) (void)eager.pick(3);
+  EXPECT_EQ(lazy.pick(999), eager.pick(999));
+  const std::vector<double> probs{0.5, 0.25};
+  std::vector<std::int64_t> lazy_counts(2);
+  std::vector<std::int64_t> eager_counts(2);
+  lazy.skip(40);
+  EXPECT_EQ(lazy.multinomial_rest(500, probs, lazy_counts),
+            eager.multinomial_rest(500, probs, eager_counts));
+  EXPECT_EQ(lazy_counts, eager_counts);
 }
 
 }  // namespace
