@@ -16,7 +16,6 @@
 #include "aggregate/aggregate_sim.h"
 #include "agent/agent_sim.h"
 #include "algo/ant.h"
-#include "algo/batched.h"
 #include "common.h"
 #include "algo/precise_sigmoid.h"
 #include "metrics/metric.h"
@@ -24,7 +23,6 @@
 #include "rng/binomial.h"
 #include "rng/splitmix.h"
 #include "sim/campaign.h"
-#include "rng/bulk_sampler.h"
 #include "rng/poisson_binomial.h"
 #include "rng/xoshiro.h"
 
@@ -64,11 +62,11 @@ BENCHMARK(BM_PoissonBinomialPmf)->Arg(8)->Arg(64)->Arg(256);
 void BM_BulkBinomialRound(benchmark::State& state) {
   const auto k = static_cast<std::int32_t>(state.range(0));
   const Count per_task = (Count{1} << 17) / k;
-  rng::BulkSampler sampler(1, 2);
+  rng::Xoshiro256 gen(1);
   for (auto _ : state) {
     std::int64_t total = 0;
     for (std::int32_t j = 0; j < k; ++j) {
-      total += sampler.binomial(per_task, 0.02);
+      total += rng::binomial(gen, per_task, 0.02);
     }
     benchmark::DoNotOptimize(total);
   }
@@ -165,8 +163,10 @@ void BM_AggregatePreciseSigmoidRound(benchmark::State& state) {
 BENCHMARK(BM_AggregatePreciseSigmoidRound);
 
 // arg0 = colony size, arg1 = sampling mode (0 per-ant, 1 batched). The
-// batched arm drives the runner directly, the same work run_agent_sim's fast
-// path does per round.
+// batched arm drives the algorithm's kernel (AntAggregate::step) directly,
+// the same work run_agent_sim's fast path does per round; it starts
+// all-idle and sees its own loads' deficits, where the per-ant arm sees a
+// constant deficit.
 void BM_AgentAntRound(benchmark::State& state) {
   const auto n = static_cast<Count>(state.range(0));
   const bool batched = state.range(1) != 0;
@@ -178,19 +178,11 @@ void BM_AgentAntRound(benchmark::State& state) {
                                          n / (4 * k));
   Round t = 1;
   if (batched) {
-    BatchedAgentRunner* runner = algo.batched_runner();
-    std::vector<Count> loads(static_cast<std::size_t>(k), 0);
-    runner->reset(n, k, loads, 3);
-    std::vector<double> p_lack(static_cast<std::size_t>(k), 0.0);
-    const std::uint64_t mask = ActiveSet::all(k).mask64();
+    AggregateKernel* kernel = algo.batched_runner();
+    kernel->reset(Allocation::all_idle(n, k), 3);
+    const DemandVector demands(demand_counts);
     for (auto _ : state) {
-      for (std::int32_t j = 0; j < k; ++j) {
-        p_lack[static_cast<std::size_t>(j)] = fm.lack_probability(
-            t, j, deficits[static_cast<std::size_t>(j)],
-            static_cast<double>(demand_counts[static_cast<std::size_t>(j)]));
-      }
-      benchmark::DoNotOptimize(runner->step(t, p_lack, mask, loads));
-      ++t;
+      benchmark::DoNotOptimize(kernel->step(t++, demands, fm));
     }
   } else {
     std::vector<TaskId> assignment(static_cast<std::size_t>(n), kIdle);

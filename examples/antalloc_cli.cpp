@@ -157,8 +157,9 @@ int main(int argc, char** argv) {
     }
     std::printf("noise: sigmoid | adv | exact; engine: auto | agent | "
                 "aggregate; initial: idle | uniform | adversarial | random\n");
-    std::printf("sampling (agent engine): batched (default, bulk-count fast "
-                "path) | per-ant (legacy golden-traced stream)\n");
+    std::printf("sampling (agent engine): batched (default, the "
+                "algorithm's count kernel) | per-ant (legacy golden-traced "
+                "stream)\n");
     std::printf("metrics: --metrics=a,b,c selects streaming metrics "
                 "(--list-metrics for the registry; default: %s)\n",
                 default_metrics_label().c_str());

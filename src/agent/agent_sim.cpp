@@ -2,9 +2,8 @@
 
 #include <stdexcept>
 #include <string>
-#include <utility>
 
-#include "algo/batched.h"
+#include "aggregate/aggregate_sim.h"
 #include "metrics/round_loop.h"
 #include "rng/splitmix.h"
 
@@ -23,40 +22,6 @@ std::vector<TaskId> initial_assignment(Count n_ants,
     }
   }
   return assignment;
-}
-
-// Batched fast path: the runner advances the whole colony with bulk count
-// draws; the engine only supplies per-task marginals.
-SimResult run_batched(BatchedAgentRunner& runner, const FeedbackModel& fm,
-                      const DemandSchedule& schedule, const AgentSimConfig& cfg,
-                      std::vector<Count> loads) {
-  const std::int32_t k = schedule.num_tasks();
-  runner.reset(cfg.n_ants, k, loads, cfg.seed);
-  std::vector<double> p_lack(static_cast<std::size_t>(k), 0.0);
-
-  return drive_rounds(
-      schedule, cfg.rounds, cfg.n_ants, cfg.metrics, loads,
-      [&](Round t, const ActiveSet& active) {
-        return runner.apply_lifecycle(t, active, loads);
-      },
-      [&](Round t, const DemandVector& demands, const ActiveSet& active) {
-        // Per-ant marginal lack probability of each task this round.
-        // Feedback reflects the loads at time t-1; dormant tasks answer
-        // unconditional overload, i.e. marginal 0.
-        const std::uint64_t active_mask = active.mask64();
-        for (std::int32_t j = 0; j < k; ++j) {
-          const auto ju = static_cast<std::size_t>(j);
-          p_lack[ju] = ((active_mask >> j) & 1)
-                           ? fm.lack_probability(
-                                 t, j,
-                                 static_cast<double>(demands[j] - loads[ju]),
-                                 static_cast<double>(demands[j]))
-                           : 0.0;
-        }
-        const std::int64_t switches =
-            runner.step(t, p_lack, active_mask, loads);
-        return RoundStep{.loads = loads, .switches = switches};
-      });
 }
 
 }  // namespace
@@ -79,18 +44,23 @@ SimResult run_agent_sim(AgentAlgorithm& algo, FeedbackModel& fm,
   if (k > kMaxAgentTasks) {
     throw std::invalid_argument("run_agent_sim: k exceeds kMaxAgentTasks");
   }
-  const Allocation init = starting_allocation(cfg.n_ants, k, cfg.initial_loads);
-  std::vector<Count> loads(init.loads().begin(), init.loads().end());
-
-  // Batched sampling applies only when the algorithm offers a runner and the
+  // Batched sampling applies only when the algorithm offers a kernel and the
   // per-ant draws are exchangeable (i.i.d. given the loads); anything else
   // falls back to the per-ant stream, which is always correct.
   if (cfg.sampling == SamplingMode::kBatched && fm.iid_across_ants()) {
-    if (BatchedAgentRunner* runner = algo.batched_runner()) {
-      return run_batched(*runner, fm, schedule, cfg, std::move(loads));
+    if (AggregateKernel* kernel = algo.batched_runner()) {
+      return run_aggregate_sim(*kernel, fm, schedule,
+                               AggregateSimConfig{.n_ants = cfg.n_ants,
+                                                  .rounds = cfg.rounds,
+                                                  .seed = cfg.seed,
+                                                  .metrics = cfg.metrics,
+                                                  .initial_loads =
+                                                      cfg.initial_loads});
     }
   }
 
+  const Allocation init = starting_allocation(cfg.n_ants, k, cfg.initial_loads);
+  std::vector<Count> loads(init.loads().begin(), init.loads().end());
   std::vector<TaskId> assignment = initial_assignment(cfg.n_ants, loads);
   std::vector<TaskId> next_assignment(assignment.size(), kIdle);
   algo.reset(cfg.n_ants, k, assignment, cfg.seed);

@@ -14,13 +14,13 @@
 //    asks the model for k of them per round, after begin_round). Bit-exact
 //    with the committed golden traces; works for every algorithm and
 //    feedback model, including correlated ones.
-//  * kBatched — the fast path: per (task, decision-kind) counts are drawn in
-//    bulk (one binomial / multinomial per group) over count-only state, with
-//    an exact switch ledger (algo/batched.h). Requires an algorithm that
-//    provides a BatchedAgentRunner and an i.i.d.-across-ants feedback model;
-//    the engine silently falls back to kPerAnt otherwise. The count stream
-//    is seeded exactly like the matching aggregate kernel, so per-round
-//    loads are bit-identical to the aggregate engine for the same seed.
+//  * kBatched — the fast path: the algorithm's own count-level kernel
+//    (AgentAlgorithm::batched_runner) runs under run_aggregate_sim, so a
+//    batched agent run IS an aggregate run with the same seed: loads,
+//    regret and the exact switch ledger are bit-identical to the aggregate
+//    engine's. Requires an algorithm that offers a kernel and an
+//    i.i.d.-across-ants feedback model; the engine silently falls back to
+//    kPerAnt otherwise.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,7 @@ namespace antalloc {
 
 enum class SamplingMode : std::uint8_t {
   kPerAnt = 0,   // legacy per-ant RNG stream (golden-trace pinned)
-  kBatched = 1,  // bulk count draws over per-task counts
+  kBatched = 1,  // the algorithm's count-level kernel
 };
 
 // "per-ant" / "batched"; throws std::invalid_argument on anything else.

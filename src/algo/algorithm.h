@@ -11,10 +11,11 @@
 //  * AggregateKernel — the exact count-level Markov kernel induced by the
 //    automaton when feedback is i.i.d. across ants: per-ant decisions become
 //    Binomial / Multinomial / Poisson-binomial draws over behavioural
-//    classes. No mean-field approximation is involved; the count process has
-//    exactly the law of the agent simulation (tests/aggregate_agent_match
-//    checks this). This form runs colonies of millions of ants in
-//    microseconds per round.
+//    classes. No mean-field approximation is involved; the count process,
+//    switches included, has exactly the law of the agent simulation
+//    (tests/engine_equivalence_test checks this). This form runs colonies of
+//    millions of ants in microseconds per round, and is also the agent
+//    engine's batched sampling path.
 //
 // Timing convention (paper §2.1): round t's feedback describes the loads at
 // time t-1; the assignment an algorithm writes during round t is the load
@@ -131,7 +132,7 @@ class FeedbackAccess {
   double p_lack_[kMaxAgentTasks]{};
 };
 
-class BatchedAgentRunner;  // algo/batched.h
+class AggregateKernel;
 
 // Per-ant automaton form.
 class AgentAlgorithm {
@@ -152,13 +153,14 @@ class AgentAlgorithm {
   virtual void step(Round t, const FeedbackAccess& fb,
                     std::span<const TaskId> prev, std::span<TaskId> next) = 0;
 
-  // Optional batched fast path (algo/batched.h): a count-level runner with
-  // exactly this automaton's law, used by the agent engine when
-  // AgentSimConfig::sampling is kBatched and the noise is i.i.d. across
-  // ants. Returning nullptr (the default) means "per-ant only"; the engine
-  // then falls back silently. The returned runner is owned by the algorithm
-  // and must stay valid for the algorithm's lifetime.
-  virtual BatchedAgentRunner* batched_runner() { return nullptr; }
+  // Optional batched fast path: this automaton's own count-level kernel,
+  // whose law (loads and exact switches) is the automaton's. The agent
+  // engine runs it under run_aggregate_sim when AgentSimConfig::sampling is
+  // kBatched and the noise is i.i.d. across ants. Returning nullptr (the
+  // default) means "per-ant only"; the engine then falls back silently. The
+  // returned kernel is owned by the algorithm and must stay valid for the
+  // algorithm's lifetime.
+  virtual AggregateKernel* batched_runner() { return nullptr; }
 
   // Lifecycle hook: called by the engine before step(t) whenever the
   // active-task set changes. By the time it runs the engine has already
@@ -180,7 +182,13 @@ class AggregateKernel {
  public:
   struct RoundOutput {
     std::span<const Count> loads;  // W(j)_t: ants performing task j in round t
-    std::int64_t switches = 0;     // assignment changes vs round t-1 (approx.)
+    // Assignment changes vs round t-1, with the per-ant automaton's law. A
+    // kernel that pauses part of a task's committed ants must know how many
+    // of a round's leavers were paused (a paused leaver is idle-visible
+    // already and does not switch); that split is hypergeometric and is
+    // drawn from a ledger generator separate from the count stream, so the
+    // ledger never moves a load.
+    std::int64_t switches = 0;
   };
 
   virtual ~AggregateKernel() = default;

@@ -3,11 +3,10 @@
 #include <bit>
 #include <stdexcept>
 
-#include "algo/ant_batched.h"
 #include "core/bits.h"
 #include "rng/binomial.h"
+#include "rng/hypergeometric.h"
 #include "rng/multinomial.h"
-#include "rng/poisson_binomial.h"
 
 namespace antalloc {
 namespace {
@@ -34,9 +33,9 @@ AntAgent::AntAgent(AntParams params) : params_(params) { validate(params_); }
 
 AntAgent::~AntAgent() = default;
 
-BatchedAgentRunner* AntAgent::batched_runner() {
-  if (!batched_) batched_ = std::make_unique<AntBatchedRunner>(params_);
-  return batched_.get();
+AggregateKernel* AntAgent::batched_runner() {
+  if (!kernel_) kernel_ = std::make_unique<AntAggregate>(params_);
+  return kernel_.get();
 }
 
 void AntAgent::reset(Count n_ants, std::int32_t k,
@@ -128,6 +127,7 @@ AntAggregate::AntAggregate(AntParams params) : params_(params) {
 
 void AntAggregate::reset(const Allocation& initial, std::uint64_t seed) {
   gen_ = rng::Xoshiro256(rng::hash_combine(seed, 0xA99Au));
+  ledger_ = rng::Xoshiro256(rng::hash_combine(seed, 0xA1EDu));
   const auto k = static_cast<std::size_t>(initial.num_tasks());
   assigned_.assign(initial.loads().begin(), initial.loads().end());
   paused_.assign(k, 0);
@@ -135,6 +135,8 @@ void AntAggregate::reset(const Allocation& initial, std::uint64_t seed) {
   prev_visible_ = assigned_;
   p1_lack_.assign(k, 0.0);
   scratch_.assign(k, 0.0);
+  join_marginals_.assign(k, 0.0);
+  joins_.assign(k, 0);
   task_active_.assign(k, 1);
   idle_ = initial.idle();
   flushed_ = 0;
@@ -207,26 +209,30 @@ AggregateKernel::RoundOutput AntAggregate::step(Round t,
     const double deficit = static_cast<double>(demands[tj] - prev_visible_[j]);
     const double p2 = fm.lack_probability(t, tj, deficit,
                                           static_cast<double>(demands[tj]));
-    // Per committed ant: P(leave) = P(s1 = s2 = overload) * gamma/cd.
+    // Per committed ant: P(leave) = P(s1 = s2 = overload) * gamma/cd,
+    // independent of its pause coin, so the leavers are a uniform subset of
+    // all committed ants and the paused ones among them are hypergeometric.
     const double p_leave =
         (1.0 - p1_lack_[j]) * (1.0 - p2) * params_.leave_probability();
     const Count leaves = rng::binomial(gen_, assigned_[j], p_leave);
+    const Count paused_leaves =
+        rng::hypergeometric(ledger_, leaves, paused_[j], assigned_[j]);
     assigned_[j] -= leaves;
     idle_ += leaves;
-    switches += leaves + paused_[j];  // leavers + resuming paused ants
+    // Working leavers and resuming paused ants switch; a paused leaver was
+    // idle-visible already and stays idle.
+    switches += leaves + paused_[j] - 2 * paused_leaves;
     // Per idle ant: P(both samples lack) for the join rule.
     scratch_[j] = p1_lack_[j] * p2;
     paused_[j] = 0;
   }
 
-  const std::vector<double> join_marginals =
-      rng::uniform_choice_marginals(scratch_);
-  const std::vector<Count> joins =
-      rng::multinomial_rest(gen_, joinable, join_marginals);
+  rng::uniform_choice_marginals_into(scratch_, join_marginals_, choice_ws_);
+  rng::multinomial_rest_into(gen_, joinable, join_marginals_, joins_);
   for (std::size_t j = 0; j < k; ++j) {
-    assigned_[j] += joins[j];
-    idle_ -= joins[j];
-    switches += joins[j];
+    assigned_[j] += joins_[j];
+    idle_ -= joins_[j];
+    switches += joins_[j];
     visible_[j] = assigned_[j];
   }
   return {visible_, switches};

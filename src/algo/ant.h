@@ -18,10 +18,11 @@
 #include <vector>
 
 #include "algo/algorithm.h"
+#include "rng/poisson_binomial.h"
 
 namespace antalloc {
 
-class AntBatchedRunner;  // algo/ant_batched.h
+class AntAggregate;
 
 struct AntParams {
   double gamma = 0.02;  // learning rate γ in [γ*, 1/16]
@@ -50,8 +51,9 @@ class AntAgent final : public AgentAlgorithm {
   // Drops phase commitments to dying tasks: a flushed worker's first-sample
   // mask is cleared, so it cannot join anything before the next phase start.
   void on_lifecycle(Round t, const ActiveSet& active) override;
-  // Count-level fast path (algo/ant_batched.h), lazily constructed.
-  BatchedAgentRunner* batched_runner() override;
+  // The batched fast path: this algorithm's own AntAggregate kernel,
+  // lazily constructed.
+  AggregateKernel* batched_runner() override;
 
  private:
   AntParams params_;
@@ -59,12 +61,14 @@ class AntAgent final : public AgentAlgorithm {
   std::int32_t k_ = 0;
   std::vector<TaskId> current_task_;     // task committed to this phase
   std::vector<std::uint64_t> s1_lack_;   // first-sample lack bitmask
-  std::unique_ptr<AntBatchedRunner> batched_;
+  std::unique_ptr<AntAggregate> kernel_;
 };
 
 // Exact count-level kernel (i.i.d. feedback only). Internal classes per
 // task: assigned (committed) ants, of which `paused` sit out the even round;
-// plus the idle pool.
+// plus the idle pool. Loads and regret come from one count generator; the
+// exact switch ledger draws from a second one, so the ledger never moves a
+// load.
 class AntAggregate final : public AggregateKernel {
  public:
   explicit AntAggregate(AntParams params);
@@ -79,7 +83,8 @@ class AntAggregate final : public AggregateKernel {
 
  private:
   AntParams params_;
-  rng::Xoshiro256 gen_;
+  rng::Xoshiro256 gen_;     // count stream: every load-shaping draw
+  rng::Xoshiro256 ledger_;  // paused share of the leavers (switches only)
   Count idle_ = 0;
   // Ants flushed off dying tasks; they re-enter the idle (joinable) pool at
   // the next phase start, matching the agent automaton where a mid-phase
@@ -90,7 +95,10 @@ class AntAggregate final : public AggregateKernel {
   std::vector<Count> visible_;    // W(j)_t returned to the engine
   std::vector<Count> prev_visible_;  // W(j)_{t-1}, what round-t feedback sees
   std::vector<double> p1_lack_;   // first-sample lack probability per task
-  std::vector<double> scratch_;
+  std::vector<double> scratch_;   // per idle ant: P(both samples lack)
+  std::vector<double> join_marginals_;
+  std::vector<Count> joins_;
+  rng::ChoiceMarginalsWorkspace choice_ws_;
   std::vector<std::uint8_t> task_active_;  // lifecycle flags (1 = active)
 };
 

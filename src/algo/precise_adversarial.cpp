@@ -8,6 +8,7 @@
 
 #include "core/bits.h"
 #include "rng/binomial.h"
+#include "rng/hypergeometric.h"
 #include "rng/multinomial.h"
 
 namespace antalloc {
@@ -166,6 +167,7 @@ PreciseAdversarialAggregate::PreciseAdversarialAggregate(
 void PreciseAdversarialAggregate::reset(const Allocation& initial,
                                         std::uint64_t seed) {
   gen_ = rng::Xoshiro256(rng::hash_combine(seed, 0xADF2u));
+  ledger_ = rng::Xoshiro256(rng::hash_combine(seed, 0xADEDu));
   const auto k = static_cast<std::size_t>(initial.num_tasks());
   assigned_.assign(initial.loads().begin(), initial.loads().end());
   active_ = assigned_;
@@ -290,13 +292,22 @@ AggregateKernel::RoundOutput PreciseAdversarialAggregate::step(
     joins = rng::multinomial(gen_, idle_, join_probs);
   }
   for (std::size_t j = 0; j < k; ++j) {
+    // Committed ants not in the frozen visible load sit out the rest of the
+    // phase as idle-visible; the leavers are a uniform subset of all
+    // committed ants, so the paused ones among them are hypergeometric.
+    const Count paused = assigned_[j] - visible_[j];
     Count leaves = 0;
+    Count paused_leaves = 0;
     if (all_over_[j] != 0) {
       leaves = rng::binomial(gen_, assigned_[j], params_.leave_probability());
+      paused_leaves =
+          rng::hypergeometric(ledger_, leaves, paused, assigned_[j]);
     }
     assigned_[j] += joins[j] - leaves;
     idle_ += leaves - joins[j];
-    switches += joins[j] + leaves + std::abs(assigned_[j] - visible_[j]);
+    // Joiners, working leavers and resuming paused ants switch once each; a
+    // paused leaver stays idle.
+    switches += joins[j] + leaves + paused - 2 * paused_leaves;
     visible_[j] = assigned_[j];
     active_[j] = assigned_[j];
   }

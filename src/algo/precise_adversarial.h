@@ -85,7 +85,8 @@ class PreciseAdversarialAggregate final : public AggregateKernel {
 
  private:
   PreciseAdversarialParams params_;
-  rng::Xoshiro256 gen_;
+  rng::Xoshiro256 gen_;     // count stream: every load-shaping draw
+  rng::Xoshiro256 ledger_;  // paused share of the leavers (switches only)
   Count idle_ = 0;
   // Ants flushed off dying tasks; they rejoin the idle pool at the next
   // phase start (flushed agent automata have empty all-lack masks until

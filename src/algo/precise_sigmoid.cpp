@@ -7,8 +7,8 @@
 
 #include "core/bits.h"
 #include "rng/binomial.h"
+#include "rng/hypergeometric.h"
 #include "rng/multinomial.h"
-#include "rng/poisson_binomial.h"
 
 namespace antalloc {
 namespace {
@@ -213,6 +213,7 @@ PreciseSigmoidAggregate::PreciseSigmoidAggregate(PreciseSigmoidParams params)
 void PreciseSigmoidAggregate::reset(const Allocation& initial,
                                     std::uint64_t seed) {
   gen_ = rng::Xoshiro256(rng::hash_combine(seed, 0x51B3u));
+  ledger_ = rng::Xoshiro256(rng::hash_combine(seed, 0x51EDu));
   const auto k = static_cast<std::size_t>(initial.num_tasks());
   assigned_.assign(initial.loads().begin(), initial.loads().end());
   paused_.assign(k, 0);
@@ -222,6 +223,8 @@ void PreciseSigmoidAggregate::reset(const Allocation& initial,
   window2_.assign(k, {});
   med1_lack_.assign(k, 0.0);
   scratch_.assign(k, 0.0);
+  join_marginals_.assign(k, 0.0);
+  joins_.assign(k, 0);
   task_active_.assign(k, 1);
   idle_ = initial.idle();
   flushed_ = 0;
@@ -314,20 +317,22 @@ AggregateKernel::RoundOutput PreciseSigmoidAggregate::step(
     const double p_leave = (1.0 - med1_lack_[j]) * (1.0 - med2_lack) *
                            params_.leave_probability();
     const Count leaves = rng::binomial(gen_, assigned_[j], p_leave);
+    // As in AntAggregate: leavers are a uniform subset of the committed
+    // ants, and a paused leaver (already idle-visible) does not switch.
+    const Count paused_leaves =
+        rng::hypergeometric(ledger_, leaves, paused_[j], assigned_[j]);
     assigned_[j] -= leaves;
     idle_ += leaves;
-    switches += leaves + paused_[j];
+    switches += leaves + paused_[j] - 2 * paused_leaves;
     scratch_[j] = med1_lack_[j] * med2_lack;
     paused_[j] = 0;
   }
-  const std::vector<double> join_marginals =
-      rng::uniform_choice_marginals(scratch_);
-  const std::vector<Count> joins =
-      rng::multinomial_rest(gen_, joinable, join_marginals);
+  rng::uniform_choice_marginals_into(scratch_, join_marginals_, choice_ws_);
+  rng::multinomial_rest_into(gen_, joinable, join_marginals_, joins_);
   for (std::size_t j = 0; j < k; ++j) {
-    assigned_[j] += joins[j];
-    idle_ -= joins[j];
-    switches += joins[j];
+    assigned_[j] += joins_[j];
+    idle_ -= joins_[j];
+    switches += joins_[j];
     visible_[j] = assigned_[j];
   }
   return {visible_, switches};

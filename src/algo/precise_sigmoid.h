@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "algo/algorithm.h"
+#include "rng/poisson_binomial.h"
 
 namespace antalloc {
 
@@ -102,7 +103,8 @@ class PreciseSigmoidAggregate final : public AggregateKernel {
  private:
   PreciseSigmoidParams params_;
   std::int32_t m_ = 0;
-  rng::Xoshiro256 gen_;
+  rng::Xoshiro256 gen_;     // count stream: every load-shaping draw
+  rng::Xoshiro256 ledger_;  // paused share of the leavers (switches only)
   Count idle_ = 0;
   // Ants flushed off dying tasks; they rejoin the idle pool at the next
   // phase start (the agent automaton's flushed workers are dormant until
@@ -116,6 +118,9 @@ class PreciseSigmoidAggregate final : public AggregateKernel {
   std::vector<std::vector<double>> window2_;
   std::vector<double> med1_lack_;
   std::vector<double> scratch_;
+  std::vector<double> join_marginals_;
+  std::vector<Count> joins_;
+  rng::ChoiceMarginalsWorkspace choice_ws_;
   std::vector<std::uint8_t> task_active_;     // lifecycle flags (1 = active)
 };
 

@@ -4,7 +4,6 @@
 // "Scrambled Linear Pseudorandom Number Generators" (2019).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <limits>
 
@@ -55,18 +54,6 @@ class Xoshiro256 {
     const unsigned __int128 m =
         static_cast<unsigned __int128>(x) * static_cast<unsigned __int128>(bound);
     return static_cast<std::uint64_t>(m >> 64);
-  }
-
-  // Leaves the generator exactly where `n` calls of operator() would, in
-  // O(log n): the low 8 bits of n are stepped, each higher set bit i applies
-  // the precomputed jump polynomial x^(2^i) mod P(x) (rng/xoshiro_jump.h)
-  // at the cost of 256 steps. Out of line so operator() stays as inlined.
-  void discard(std::uint64_t n) noexcept;
-
-  // The raw state, word 0 first. Its transition is linear over GF(2); the
-  // jump table is derived from one bit of it (rng/xoshiro_jump.h).
-  constexpr std::array<std::uint64_t, 4> state() const noexcept {
-    return {state_[0], state_[1], state_[2], state_[3]};
   }
 
  private:

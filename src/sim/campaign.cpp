@@ -409,9 +409,14 @@ std::uint64_t campaign_config_hash(const CampaignConfig& cfg) {
   // v3: the agent-engine sampling mode entered (batched fast path) — the
   // two modes draw different equivalent-in-law streams, so shards must not
   // mix them, and pre-batching shards are rejected wholesale.
+  // v4: the count kernels keep the exact switch ledger (a paused ant that
+  // also leaves is no switch), so the switch statistics of `ant`,
+  // `precise-sigmoid` and `precise-adversarial` cells moved on the
+  // aggregate engine and on batched sampling, which now runs the same
+  // kernels; v3 shards and journals hold the old counts and are refused.
   // trace_dir, like the shard spec and pool, stays OUT of the hash: where a
   // campaign's traces land must not change any number it computes.
-  std::uint64_t h = rng::hash_string("antalloc-campaign-v3");
+  std::uint64_t h = rng::hash_string("antalloc-campaign-v4");
 
   h = mix_u64(h, cfg.scenarios.size());
   for (const Scenario& sc : cfg.scenarios) {

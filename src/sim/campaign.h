@@ -119,9 +119,10 @@ struct CampaignConfig {
   // engine (the aggregate engine ignores it). Campaigns default to the
   // batched fast path; the engine falls back to per-ant per cell where
   // batching is unsound (non-i.i.d. noise) or the algorithm offers no
-  // batched runner. Enters campaign_config_hash: the two modes draw
-  // different (equivalent-in-law) streams, so their numbers differ
-  // bit-wise and shards must not mix them.
+  // count kernel (AgentAlgorithm::batched_runner). Enters
+  // campaign_config_hash: the two modes draw different
+  // (equivalent-in-law) streams, so their numbers differ bit-wise and
+  // shards must not mix them.
   SamplingMode sampling = SamplingMode::kBatched;
   // metrics.gamma <= 0 inherits each algorithm's learning rate; warmup 0
   // defaults to rounds/2 so post-warmup regret is meaningful out of the box.

@@ -1,26 +1,27 @@
-// Correctness rails for the batched agent fast path (SamplingMode::kBatched):
+// Correctness rails for the batched agent fast path (SamplingMode::kBatched),
+// which runs the algorithm's own count-level kernel (AntAggregate) under
+// run_aggregate_sim:
 //
-//  1. BIT-LEVEL: the batched runner's count stream is seeded exactly like
-//     AntAggregate's generator and consumes draws in the same order, so for a
-//     matched seed the per-round load trajectory — hence final loads and every
-//     regret integral — is bit-identical to the aggregate engine. This pins
-//     the draw-order contract (dormant skips, join marginals, multinomial
-//     chain) far harder than any distributional test.
-//  2. LAW-LEVEL: the batched path counts switches EXACTLY (a paused leaver
-//     does not switch), unlike the aggregate kernel's approximation (leaves +
-//     paused double-counts paused leavers). Under exact feedback with
-//     overload-certain tasks the two laws separate by a factor large enough
-//     for a cheap replicate test: per committed ant the exact even-round
-//     switch probability is p + q - 2pq versus the kernel's p + q. The
+//  1. BIT-LEVEL: a batched agent run and an aggregate run with the same seed
+//     are the same computation, so final loads, every regret integral AND
+//     the switch count are bit-identical — through run_agent_sim /
+//     run_aggregate_sim directly and through run_experiment's
+//     Engine::kAgent / Engine::kAggregate.
+//  2. LAW-LEVEL: the kernel counts switches EXACTLY. A paused ant that also
+//     leaves was idle-visible already and does not switch; the kernel draws
+//     how many leavers were paused (hypergeometric) from its ledger
+//     generator. Under exact feedback with overload-certain tasks the exact
+//     even-round switch probability per committed ant is p + q - 2pq, far
+//     from the p + q that counting every paused leaver twice gives. The
 //     per-ant engine counts switches exactly by construction (assignment
-//     diffs), so its mean must agree with the batched mean and both must sit
-//     at the exact value.
+//     diffs); batched, aggregate and per-ant means must all sit at the exact
+//     value.
 //  3. FIXTURE: a committed golden trace of the batched stream; a live batched
 //     run must reproduce the replayed scalars exactly.
 //  4. BYTES AT SCALE: literal final loads, switches and regret of batched
 //     runs over the whole scenario registry at n = 65536 (and one run at
-//     n = 2^20) pin the switch ledger — which the aggregate cross-check in
-//     (1) does not compare — at the colony sizes the fast path is for.
+//     n = 2^20) pin the count stream and the switch ledger at the colony
+//     sizes the fast path is for.
 //
 // The batched golden fixture was produced by (regenerate + re-pin in the same
 // commit as any intentional batched-stream change):
@@ -36,12 +37,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "aggregate/aggregate_sim.h"
 #include "agent/agent_sim.h"
 #include "algo/ant.h"
-#include "algo/batched.h"
 #include "io/trace_reader.h"
 #include "metrics/metric.h"
 #include "noise/exact.h"
@@ -121,15 +122,38 @@ TEST(AgentBatched, LoadsBitIdenticalToAggregateKernel) {
                               .initial_loads = c.initial_loads};
       const auto aggregate = run_aggregate_sim(kernel, fm, c.schedule, kcfg);
 
-      // Same count stream, same draw order => identical load trajectory.
+      // One kernel, one seed => the same run, switch ledger included.
       EXPECT_EQ(batched.final_loads, aggregate.final_loads);
-      EXPECT_DOUBLE_EQ(batched.total_regret, aggregate.total_regret);
-      EXPECT_DOUBLE_EQ(batched.post_warmup_regret,
-                       aggregate.post_warmup_regret);
+      EXPECT_EQ(batched.total_regret, aggregate.total_regret);
+      EXPECT_EQ(batched.post_warmup_regret, aggregate.post_warmup_regret);
       EXPECT_EQ(batched.violation_rounds, aggregate.violation_rounds);
-      // Switches are NOT compared: the batched runner counts them exactly
-      // while the kernel approximates (see ExactSwitchLaw below).
+      EXPECT_EQ(batched.switches, aggregate.switches);
     }
+  }
+}
+
+TEST(AgentBatched, ExperimentEnginesAgreeBitForBit) {
+  // The same identity through run_experiment's engine switch, over every
+  // registry scenario (lifecycle families included).
+  const DemandVector base({Count{90}, Count{60}, Count{40}});
+  for (const Scenario& sc : registry_scenarios(base, 500, /*seed=*/3)) {
+    SCOPED_TRACE(sc.name);
+    ExperimentConfig cfg;
+    cfg.algo = {.name = "ant", .gamma = 0.05};
+    cfg.n_ants = 1200;
+    cfg.rounds = 500;
+    cfg.seed = 41;
+    cfg.initial = sc.initial;
+    cfg.initial_loads = sc.initial_loads;
+    SigmoidFeedback fm(0.3);
+    cfg.engine = Engine::kAgent;
+    cfg.sampling = SamplingMode::kBatched;
+    const SimResult agent = run_experiment(cfg, fm, sc.schedule);
+    cfg.engine = Engine::kAggregate;
+    const SimResult aggregate = run_experiment(cfg, fm, sc.schedule);
+    EXPECT_EQ(agent.final_loads, aggregate.final_loads);
+    EXPECT_EQ(agent.switches, aggregate.switches);
+    EXPECT_EQ(agent.total_regret, aggregate.total_regret);
   }
 }
 
@@ -139,7 +163,7 @@ TEST(AgentBatched, ExactSwitchLawMatchesPerAntEngine) {
   // independently pauses with p = cs*gamma and leaves with q = gamma/cd.
   // Exact switches per ant per phase: p (odd round) + p + q - 2pq (even
   // round: working leaver or resuming paused survivor; a paused leaver does
-  // NOT switch). The kernel's approximation would add p + q instead —
+  // NOT switch). Counting paused leavers twice would add p + q instead —
   // with p = 0.9, q = 0.833 that is 2.63 n versus the exact 1.13 n per
   // phase, a 2.3x separation no tolerance below can absorb.
   const AntParams params{.gamma = 0.5, .cs = 1.8, .cd = 0.6};
@@ -150,13 +174,14 @@ TEST(AgentBatched, ExactSwitchLawMatchesPerAntEngine) {
   const DemandVector demands({Count{1}});
   const std::vector<Count> initial{kAnts};
 
-  const auto mean_switches = [&](SamplingMode mode, std::uint64_t base_seed) {
+  const auto mean_switches = [&](Engine engine, SamplingMode mode,
+                                 std::uint64_t base_seed) {
     const auto results = run_replicated_experiment(
         {.algo = {.name = "ant",
                   .gamma = params.gamma,
                   .cs = params.cs,
                   .cd = params.cd},
-         .engine = Engine::kAgent,
+         .engine = engine,
          .n_ants = kAnts,
          .rounds = 2,  // one full phase
          .seed = base_seed,
@@ -172,23 +197,27 @@ TEST(AgentBatched, ExactSwitchLawMatchesPerAntEngine) {
     return stats;
   };
 
-  const RunningStats per_ant = mean_switches(SamplingMode::kPerAnt, 500);
-  const RunningStats batched = mean_switches(SamplingMode::kBatched, 600);
+  const RunningStats per_ant =
+      mean_switches(Engine::kAgent, SamplingMode::kPerAnt, 500);
+  const RunningStats batched =
+      mean_switches(Engine::kAgent, SamplingMode::kBatched, 600);
+  const RunningStats aggregate =
+      mean_switches(Engine::kAggregate, SamplingMode::kBatched, 700);
 
   const double n = static_cast<double>(kAnts);
   const double exact = n * (p + (p + q - 2.0 * p * q));
-  const double kernel_approx = n * (p + (p + q));
+  const double double_counted = n * (p + (p + q));
 
-  const double tol =
-      5.0 * std::sqrt(per_ant.stderr_mean() * per_ant.stderr_mean() +
-                      batched.stderr_mean() * batched.stderr_mean()) +
-      0.01 * exact;
-  EXPECT_NEAR(per_ant.mean(), exact, tol);
-  EXPECT_NEAR(batched.mean(), exact, tol);
-  EXPECT_NEAR(batched.mean(), per_ant.mean(), tol);
-  // Both engines must sit far below the kernel approximation.
-  EXPECT_LT(per_ant.mean(), 0.6 * kernel_approx);
-  EXPECT_LT(batched.mean(), 0.6 * kernel_approx);
+  for (const RunningStats* arm : {&per_ant, &batched, &aggregate}) {
+    const double tol =
+        5.0 * std::sqrt(per_ant.stderr_mean() * per_ant.stderr_mean() +
+                        arm->stderr_mean() * arm->stderr_mean()) +
+        0.01 * exact;
+    EXPECT_NEAR(arm->mean(), exact, tol);
+    EXPECT_NEAR(arm->mean(), per_ant.mean(), tol);
+    // Far below the law that counts every paused leaver as a switch.
+    EXPECT_LT(arm->mean(), 0.6 * double_counted);
+  }
 }
 
 TEST(AgentBatched, GoldenTraceReplayMatchesLiveRun) {
@@ -228,11 +257,12 @@ TEST(AgentBatched, GoldenTraceReplayMatchesLiveRun) {
 
 // Batched stream pins: Algorithm Ant on the batched path for every registry
 // scenario (lifecycle families included) at n = 65536, k = 4, plus one
-// constant-demand run at n = 2^20. The literals were produced by the
-// bucket-based runner that predates the count-only one; any change to the
-// count-stream draw order, to the selection-stream consumption or to the
-// switch ledger moves them. On a mismatch the failure message prints the
-// actual row, ready to re-pin.
+// constant-demand run at n = 2^20. The loads and regret have not moved
+// since the batched path had its own runner (they are the kernel's count
+// stream); the switches are the kernel's exact ledger, re-pinned when the
+// hypergeometric ledger generator replaced the runner's selection stream.
+// Any change to the count-stream draw order or to the ledger moves them. On
+// a mismatch the failure message prints the actual row, ready to re-pin.
 struct BatchedPin {
   const char* scenario;
   Count n_ants;
@@ -243,20 +273,20 @@ struct BatchedPin {
 
 const std::vector<BatchedPin>& batched_pins() {
   static const std::vector<BatchedPin> pins = {
-      {"constant", 65536, {7478, 7441, 7374, 7399}, 3283392, 16500757},
-      {"single-shock", 65536, {21986, 7516, 7339, 7490}, 3950189, 19735581},
-      {"staircase", 65536, {21947, 13634, 9597, 7390}, 4149860, 14223979},
-      {"day-night", 65536, {7435, 7435, 7305, 7476}, 3285627, 18266593},
-      {"mass-death", 65536, {9597, 7573, 7405, 7431}, 3309840, 14819654},
-      {"correlated-shocks", 65536, {8523, 7478, 7419, 7479}, 3314759, 16848041},
-      {"ramp-drift", 65536, {8935, 7690, 7374, 7371}, 3293496, 14311916},
-      {"seasonal", 65536, {7723, 7467, 7414, 7377}, 3282991, 16527016},
-      {"adversarial-phase", 65536, {7419, 7484, 7318, 7453}, 3286500, 16514103},
-      {"growth-death", 65536, {7415, 7445, 7403, 7506}, 3284611, 16339698},
-      {"task-death", 65536, {7788, 7455, 7435, 0}, 2960630, 13920268},
-      {"task-birth", 65536, {7483, 7377, 7344, 21825}, 3481871, 17693140},
-      {"task-churn", 65536, {7360, 7502, 0, 23773}, 3536175, 18658575},
-      {"constant", 1048576, {176811, 176848, 177533, 177086}, 32368928,
+      {"constant", 65536, {7478, 7441, 7374, 7399}, 3283834, 16500757},
+      {"single-shock", 65536, {21986, 7516, 7339, 7490}, 3950625, 19735581},
+      {"staircase", 65536, {21947, 13634, 9597, 7390}, 4150132, 14223979},
+      {"day-night", 65536, {7435, 7435, 7305, 7476}, 3285911, 18266593},
+      {"mass-death", 65536, {9597, 7573, 7405, 7431}, 3310358, 14819654},
+      {"correlated-shocks", 65536, {8523, 7478, 7419, 7479}, 3315247, 16848041},
+      {"ramp-drift", 65536, {8935, 7690, 7374, 7371}, 3293908, 14311916},
+      {"seasonal", 65536, {7723, 7467, 7414, 7377}, 3283189, 16527016},
+      {"adversarial-phase", 65536, {7419, 7484, 7318, 7453}, 3286996, 16514103},
+      {"growth-death", 65536, {7415, 7445, 7403, 7506}, 3284821, 16339698},
+      {"task-death", 65536, {7788, 7455, 7435, 0}, 2961110, 13920268},
+      {"task-birth", 65536, {7483, 7377, 7344, 21825}, 3482023, 17693140},
+      {"task-churn", 65536, {7360, 7502, 0, 23773}, 3536189, 18658575},
+      {"constant", 1048576, {176811, 176848, 177533, 177086}, 32368924,
        172497996},
   };
   return pins;
@@ -329,24 +359,26 @@ TEST(AgentBatched, StreamPinnedByValue) {
   EXPECT_EQ(checked, batched_pins().size()) << "stale pins in the table";
 }
 
-TEST(AgentBatched, ResetRejectsInconsistentInitialLoads) {
-  // The engine validates its starting allocation, but the runner's reset is
-  // public: loads of the wrong size would index past the per-task vectors,
-  // and loads summing past n would drive the idle pool negative.
+TEST(AgentBatched, RejectsInconsistentInitialLoads) {
+  // Loads of the wrong size, a negative load, loads summing past n and a
+  // negative colony are refused before the kernel sees them.
   AntAgent algo(AntParams{.gamma = 0.05});
-  BatchedAgentRunner* runner = algo.batched_runner();
-  ASSERT_NE(runner, nullptr);
-  const std::vector<Count> too_many{10, 20, 30};
-  const std::vector<Count> too_few{10};
-  const std::vector<Count> negative{10, -1};
-  const std::vector<Count> over_n{60, 50};
-  EXPECT_THROW(runner->reset(100, 2, too_many, 1), std::invalid_argument);
-  EXPECT_THROW(runner->reset(100, 2, too_few, 1), std::invalid_argument);
-  EXPECT_THROW(runner->reset(100, 2, negative, 1), std::invalid_argument);
-  EXPECT_THROW(runner->reset(100, 2, over_n, 1), std::invalid_argument);
-  EXPECT_THROW(runner->reset(-1, 0, {}, 1), std::invalid_argument);
-  const std::vector<Count> exact_n{60, 40};
-  EXPECT_NO_THROW(runner->reset(100, 2, exact_n, 1));
+  SigmoidFeedback fm(0.7);
+  const DemandVector demands({Count{30}, Count{20}});
+  const auto run = [&](std::vector<Count> initial, Count n_ants = 100) {
+    AgentSimConfig cfg{.n_ants = n_ants,
+                       .rounds = 4,
+                       .seed = 1,
+                       .initial_loads = std::move(initial),
+                       .sampling = SamplingMode::kBatched};
+    return run_agent_sim(algo, fm, demands, cfg);
+  };
+  EXPECT_THROW(run({10, 20, 30}), std::invalid_argument);
+  EXPECT_THROW(run({10}), std::invalid_argument);
+  EXPECT_THROW(run({10, -1}), std::invalid_argument);
+  EXPECT_THROW(run({60, 50}), std::invalid_argument);
+  EXPECT_THROW(run({}, -1), std::invalid_argument);
+  EXPECT_NO_THROW(run({60, 40}));
 }
 
 }  // namespace

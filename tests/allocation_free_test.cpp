@@ -1,9 +1,10 @@
-// Pins the "allocation-free round emission" property of the agent engine:
-// with default metrics options (no trace) every heap allocation happens
-// during setup (reset, buffer reservation, result assembly) — none per
-// round. The proof is a global operator-new counter and two runs differing
-// only in round count: if any per-round path allocated, the longer run
-// would count more.
+// Pins the "allocation-free round emission" property of the engines: with
+// default metrics options (no trace) every heap allocation happens during
+// setup (reset, buffer reservation, result assembly) — none per round, on
+// the per-ant path, the batched path and the aggregate engine running
+// AntAggregate. The proof is a global operator-new counter and two runs
+// differing only in round count: if any per-round path allocated, the
+// longer run would count more.
 //
 // The same counter also tallies bytes, which pins the batched path's O(k)
 // memory: runs differing only in colony size must allocate the same bytes.
@@ -18,10 +19,10 @@
 #include <cstdlib>
 #include <new>
 
+#include "aggregate/aggregate_sim.h"
 #include "agent/agent_sim.h"
 #include "algo/ant.h"
 #include "noise/sigmoid.h"
-#include "rng/xoshiro.h"
 
 namespace {
 
@@ -79,78 +80,84 @@ struct Tally {
   std::uint64_t bytes;
 };
 
-Tally tally_run(SamplingMode mode, Round rounds, Count n_ants) {
+// The three ways to run Algorithm Ant; the batched path runs the same
+// kernel as the aggregate engine, behind run_agent_sim.
+enum class Path { kPerAnt, kBatched, kAggregate };
+
+Tally tally_run(Path path, Round rounds, Count n_ants) {
   const std::uint64_t allocations_before =
       g_allocations.load(std::memory_order_relaxed);
   const std::uint64_t bytes_before = g_bytes.load(std::memory_order_relaxed);
   {
-    AntAgent algo(AntParams{.gamma = 0.05});
+    const AntParams params{.gamma = 0.05};
     SigmoidFeedback fm(1.0);
     const DemandVector demands({Count{60}, Count{40}});
-    AgentSimConfig cfg{.n_ants = n_ants,
-                       .rounds = rounds,
-                       .seed = 7,
-                       .metrics = {.gamma = 0.05},
-                       .sampling = mode};
-    const auto res = run_agent_sim(algo, fm, demands, cfg);
+    SimResult res;
+    if (path == Path::kAggregate) {
+      AntAggregate kernel(params);
+      AggregateSimConfig cfg{.n_ants = n_ants,
+                             .rounds = rounds,
+                             .seed = 7,
+                             .metrics = {.gamma = 0.05}};
+      res = run_aggregate_sim(kernel, fm, demands, cfg);
+    } else {
+      AntAgent algo(params);
+      AgentSimConfig cfg{.n_ants = n_ants,
+                         .rounds = rounds,
+                         .seed = 7,
+                         .metrics = {.gamma = 0.05},
+                         .sampling = path == Path::kBatched
+                                         ? SamplingMode::kBatched
+                                         : SamplingMode::kPerAnt};
+      res = run_agent_sim(algo, fm, demands, cfg);
+    }
     g_sink += static_cast<std::uint64_t>(res.switches);
   }
   return {g_allocations.load(std::memory_order_relaxed) - allocations_before,
           g_bytes.load(std::memory_order_relaxed) - bytes_before};
 }
 
-std::uint64_t allocations_for_run(SamplingMode mode, Round rounds) {
-  return tally_run(mode, rounds, 512).allocations;
+std::uint64_t allocations_for_run(Path path, Round rounds) {
+  return tally_run(path, rounds, 512).allocations;
 }
 
-TEST(AllocationFreeJump, FirstDiscardAllocatesNothing) {
-  // The jump table behind Xoshiro256::discard is constant-initialized: no
-  // first-use allocation, so the batched pins below do not depend on which
-  // test first touches it. Defined first, so this is the binary's first
-  // discard.
-  rng::Xoshiro256 gen(3);
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  gen.discard(std::uint64_t{1} << 30);
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
-  g_sink += gen();
-  EXPECT_EQ(after - before, 0u);
-}
-
-class AllocationFree : public ::testing::TestWithParam<SamplingMode> {};
+class AllocationFree : public ::testing::TestWithParam<Path> {};
 
 TEST_P(AllocationFree, RoundCountDoesNotChangeAllocationCount) {
-  const SamplingMode mode = GetParam();
+  const Path path = GetParam();
   // Warm up once: one-time lazy initialisation inside the stdlib (locale,
   // distribution internals) must not be charged to either measured run.
-  (void)allocations_for_run(mode, 50);
+  (void)allocations_for_run(path, 50);
 
-  const std::uint64_t short_run = allocations_for_run(mode, 100);
-  const std::uint64_t long_run = allocations_for_run(mode, 300);
+  const std::uint64_t short_run = allocations_for_run(path, 100);
+  const std::uint64_t long_run = allocations_for_run(path, 300);
   // Setup allocations scale with n and k only; if any per-round code path
   // allocated, the 300-round run would exceed the 100-round run.
-  EXPECT_EQ(short_run, long_run) << "per-round heap allocations detected in "
-                                 << to_string(mode) << " mode";
+  EXPECT_EQ(short_run, long_run) << "per-round heap allocations detected";
   // Sanity: the counter is actually live.
   EXPECT_GT(short_run, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(SamplingModes, AllocationFree,
-                         ::testing::Values(SamplingMode::kPerAnt,
-                                           SamplingMode::kBatched),
-                         [](const ::testing::TestParamInfo<SamplingMode>& i) {
-                           return i.param == SamplingMode::kPerAnt
-                                      ? "per_ant"
-                                      : "batched";
+                         ::testing::Values(Path::kPerAnt, Path::kBatched,
+                                           Path::kAggregate),
+                         [](const ::testing::TestParamInfo<Path>& i) {
+                           switch (i.param) {
+                             case Path::kPerAnt: return "per_ant";
+                             case Path::kBatched: return "batched";
+                             case Path::kAggregate: return "aggregate";
+                           }
+                           return "unknown";
                          });
 
 TEST(AllocationFreeBatched, ColonySizeDoesNotChangeAllocatedBytes) {
-  // The batched runner keeps per-task counts, not per-ant state, and the
-  // engine builds no per-ant assignment on that path: a 2^20-ant colony
+  // The batched path's kernel keeps per-task counts, not per-ant state, and
+  // the engine builds no per-ant assignment on that path: a 2^20-ant colony
   // must allocate exactly the bytes a 512-ant one does.
-  (void)tally_run(SamplingMode::kBatched, 50, 512);  // warm-up, as above
+  (void)tally_run(Path::kBatched, 50, 512);  // warm-up, as above
 
-  const Tally small = tally_run(SamplingMode::kBatched, 100, 512);
-  const Tally large = tally_run(SamplingMode::kBatched, 100, Count{1} << 20);
+  const Tally small = tally_run(Path::kBatched, 100, 512);
+  const Tally large = tally_run(Path::kBatched, 100, Count{1} << 20);
   EXPECT_EQ(small.bytes, large.bytes)
       << "batched-run memory grows with the colony size";
   EXPECT_GT(small.bytes, 0u);

@@ -197,8 +197,8 @@ TEST(ConfigHash, PinnedByValue) {
   // on disk is stamped with this hash, so any change to what it mixes (or
   // in what order) must be a deliberate format bump, never a side effect of
   // refactoring the config.
-  EXPECT_EQ(campaign_config_hash(small_matrix()), 0xafeb77fded6dbb8fULL);
-  EXPECT_EQ(campaign_config_hash(shard_matrix()), 0xb381dc3f65df0a6cULL);
+  EXPECT_EQ(campaign_config_hash(small_matrix()), 0xc4f41eaede7df220ULL);
+  EXPECT_EQ(campaign_config_hash(shard_matrix()), 0x0948facd5519a40fULL);
 }
 
 TEST(CampaignShardIo, DiskRoundTripBitIdentical) {

@@ -11,8 +11,11 @@
 
 #include "aggregate/aggregate_sim.h"
 #include "agent/agent_sim.h"
+#include "algo/precise_adversarial.h"
+#include "algo/precise_sigmoid.h"
 #include "algo/registry.h"
 #include "noise/adversarial.h"
+#include "noise/exact.h"
 #include "noise/sigmoid.h"
 #include "sim/campaign.h"
 #include "stats/summary.h"
@@ -197,11 +200,11 @@ TEST(EngineEquivalenceRegistry, RegretDistributionsAgreeAcrossScenarioZoo) {
           << agg_stats.mean();
 
       // Third arm: the batched agent fast path, for algorithms that offer a
-      // runner and i.i.d. noise (the adversarial pairing is per-ant and
+      // kernel and i.i.d. noise (the adversarial pairing is per-ant and
       // would silently fall back — skip it to keep this arm meaningful).
-      // The batched stream differs bit-wise from both others, so this is a
-      // genuine third sample of the same law across the full scenario zoo,
-      // lifecycle families included.
+      // The batched path runs the aggregate kernel, so under its own seed
+      // this is a third sample of the same law across the full scenario
+      // zoo, lifecycle families included.
       const bool has_runner =
           make_agent_algorithm(algo_cfg)->batched_runner() != nullptr;
       if (has_runner && !adversarial) {
@@ -226,6 +229,97 @@ TEST(EngineEquivalenceRegistry, RegretDistributionsAgreeAcrossScenarioZoo) {
       }
     }
   }
+}
+
+// The switch ledger of the phase-structured kernels, checked against the
+// exact law rather than against a sampled per-ant run alone. Exact feedback,
+// demand 1, every ant committed to task 0 with load >> 1: every median is
+// overload, so per phase each committed ant pauses with p and leaves with
+// q, independently. Exact switches per ant per phase: p at the pause round
+// plus p + q - 2pq at the decision round (a paused leaver was idle-visible
+// already and does not switch). Counting paused leavers as switches gives
+// p + (p + q) instead, which these p, q put 2.3x away.
+TEST(EngineEquivalenceRegistry, PreciseSigmoidSwitchesFollowExactLaw) {
+  AlgoConfig algo;
+  algo.name = "precise-sigmoid";
+  algo.gamma = 0.45;
+  algo.epsilon = 0.9;
+  algo.cchi = 0.5;  // window m = 3: a phase is 6 rounds
+  algo.cs = 1.1;
+  algo.cd = 1.0;
+  const PreciseSigmoidParams params{.gamma = algo.gamma,
+                                    .epsilon = algo.epsilon,
+                                    .cchi = algo.cchi,
+                                    .cs = algo.cs,
+                                    .cd = algo.cd};
+  const double p = params.pause_probability();
+  const double q = params.leave_probability();
+  ASSERT_NEAR(p, 0.891, 1e-12);
+  ASSERT_NEAR(q, 0.81, 1e-12);
+  constexpr Count kAnts = 8192;
+  constexpr int kReplicates = 24;
+
+  const auto switch_stats = [&](Engine engine, std::uint64_t seed) {
+    ExperimentConfig cfg;
+    cfg.algo = algo;
+    cfg.engine = engine;
+    cfg.sampling = SamplingMode::kPerAnt;
+    cfg.n_ants = kAnts;
+    cfg.rounds = params.phase_length();
+    cfg.seed = seed;
+    cfg.initial_loads = {kAnts};
+    RunningStats stats;
+    for (const SimResult& r : run_replicated_experiment(
+             cfg, [] { return std::make_unique<ExactFeedback>(); },
+             DemandSchedule(DemandVector({Count{1}})), kReplicates)) {
+      stats.add(static_cast<double>(r.switches));
+    }
+    return stats;
+  };
+  const RunningStats per_ant = switch_stats(Engine::kAgent, 500);
+  const RunningStats aggregate = switch_stats(Engine::kAggregate, 600);
+
+  const double n = static_cast<double>(kAnts);
+  const double exact = n * (p + (p + q - 2.0 * p * q));
+  const double double_counted = n * (p + (p + q));
+  const double tol =
+      5.0 * std::sqrt(per_ant.stderr_mean() * per_ant.stderr_mean() +
+                      aggregate.stderr_mean() * aggregate.stderr_mean()) +
+      0.01 * exact;
+  EXPECT_NEAR(per_ant.mean(), exact, tol);
+  EXPECT_NEAR(aggregate.mean(), exact, tol);
+  EXPECT_LT(aggregate.mean(), 0.6 * double_counted);
+}
+
+// Precise Adversarial's kernel under exact (deterministic) feedback, from an
+// all-idle start with demand above n: every round of the first phase says
+// lack, so every ant joins at the phase's last round and nothing else moves.
+// Each joiner changes its assignment once; the per-ant engine counts n
+// switches, and the kernel must too.
+TEST(EngineEquivalenceRegistry, PreciseAdversarialColdStartCountsEachJoinOnce) {
+  AlgoConfig algo;
+  algo.name = "precise-adversarial";
+  algo.gamma = 0.05;
+  algo.epsilon = 0.5;
+  ExperimentConfig cfg;
+  cfg.algo = algo;
+  cfg.sampling = SamplingMode::kPerAnt;
+  cfg.n_ants = 300;
+  cfg.seed = 9;
+  cfg.initial_loads = {0};
+  const DemandSchedule schedule(DemandVector({Count{1000}}));
+  cfg.rounds = PreciseAdversarialParams{.gamma = algo.gamma,
+                                        .epsilon = algo.epsilon}
+                   .phase_length();
+  ExactFeedback fm;
+  cfg.engine = Engine::kAgent;
+  const SimResult per_ant = run_experiment(cfg, fm, schedule);
+  cfg.engine = Engine::kAggregate;
+  const SimResult aggregate = run_experiment(cfg, fm, schedule);
+  ASSERT_EQ(per_ant.final_loads, std::vector<Count>{300});
+  EXPECT_EQ(per_ant.switches, 300);
+  EXPECT_EQ(aggregate.final_loads, per_ant.final_loads);
+  EXPECT_EQ(aggregate.switches, per_ant.switches);
 }
 
 // Out-of-model regime: sum d > n/2 (Assumption 2.1 violated), so the idle

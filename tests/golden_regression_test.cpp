@@ -382,19 +382,19 @@ void expect_scenario_pins(const std::vector<ScenarioPin>& pins,
 
 const std::vector<ScenarioPin>& aggregate_pins() {
   static const std::vector<ScenarioPin> pins = {
-      {"ant", "constant", {1340, 918, 593}, 236657, 411612},
-      {"ant", "single-shock", {2483, 879, 609}, 272353, 441232},
-      {"ant", "staircase", {1827, 1298, 875}, 285610, 1034775},
-      {"ant", "day-night", {1522, 752, 603}, 251723, 804914},
-      {"ant", "mass-death", {1851, 1263, 665}, 267017, 380331},
-      {"ant", "correlated-shocks", {1357, 776, 595}, 249792, 525859},
-      {"ant", "ramp-drift", {1781, 1471, 642}, 269014, 350291},
-      {"ant", "seasonal", {1544, 1146, 617}, 262951, 626274},
-      {"ant", "adversarial-phase", {1624, 902, 1093}, 261643, 589126},
-      {"ant", "growth-death", {1374, 954, 600}, 250940, 484428},
-      {"ant", "task-death", {1608, 1159, 0}, 251817, 500286},
-      {"ant", "task-birth", {1337, 913, 756}, 247016, 455083},
-      {"ant", "task-churn", {1346, 0, 1296}, 216508, 477874},
+      {"ant", "constant", {1340, 918, 593}, 236281, 411612},
+      {"ant", "single-shock", {2483, 879, 609}, 272037, 441232},
+      {"ant", "staircase", {1827, 1298, 875}, 285448, 1034775},
+      {"ant", "day-night", {1522, 752, 603}, 251157, 804914},
+      {"ant", "mass-death", {1851, 1263, 665}, 266699, 380331},
+      {"ant", "correlated-shocks", {1357, 776, 595}, 249328, 525859},
+      {"ant", "ramp-drift", {1781, 1471, 642}, 268764, 350291},
+      {"ant", "seasonal", {1544, 1146, 617}, 262417, 626274},
+      {"ant", "adversarial-phase", {1624, 902, 1093}, 261113, 589126},
+      {"ant", "growth-death", {1374, 954, 600}, 250412, 484428},
+      {"ant", "task-death", {1608, 1159, 0}, 251285, 500286},
+      {"ant", "task-birth", {1337, 913, 756}, 246446, 455083},
+      {"ant", "task-churn", {1346, 0, 1296}, 216160, 477874},
       {"precise-sigmoid", "constant", {1331, 1331, 1329}, 977, 945191},
       {"precise-sigmoid", "single-shock", {1342, 1331, 1327}, 1034, 1227941},
       {"precise-sigmoid", "staircase", {1337, 1335, 1328}, 1058, 1293976},
@@ -455,7 +455,10 @@ const std::vector<ScenarioPin>& aggregate_pins() {
 }
 
 // Every kernel algorithm that simulates sigmoid noise exactly, over every
-// registry scenario, on the aggregate engine.
+// registry scenario, on the aggregate engine. The ant and precise-sigmoid
+// switches are the kernels' exact ledger (a paused leaver is no switch);
+// precise-sigmoid's pause and leave steps are so small here that no run
+// draws a paused leaver, so its literals predate the ledger unchanged.
 TEST(AggregateStream, PinnedByValue) {
   std::vector<std::string> algos;
   for (const std::string& name : algorithm_names()) {

@@ -1,13 +1,18 @@
 // Unit and statistical tests for the RNG substrate: splitmix/xoshiro
-// determinism and distributional checks for the binomial, multinomial and
-// Poisson-binomial samplers.
+// determinism and distributional checks for the binomial, multinomial,
+// hypergeometric and Poisson-binomial samplers, plus the allocation-free
+// `_into` forms the count kernels call, which must match their allocating
+// forms draw for draw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "rng/binomial.h"
+#include "rng/hypergeometric.h"
 #include "rng/multinomial.h"
 #include "rng/poisson_binomial.h"
 #include "rng/splitmix.h"
@@ -185,6 +190,121 @@ TEST(Multinomial, ZeroMassGoesToFirstBin) {
   EXPECT_EQ(counts[1], 0);
 }
 
+TEST(Multinomial, RestIntoMatchesAllocatingForm) {
+  // Same seed, same calls in sequence: the two forms must consume the same
+  // draws, including through a zero-probability bin and mass exhaustion.
+  Xoshiro256 into_gen(7);
+  Xoshiro256 ref_gen(7);
+  const std::vector<std::vector<double>> cases = {
+      {0.2, 0.1, 0.3}, {0.0, 0.5, 0.0, 0.25}, {0.6, 0.4}, {}};
+  for (int round = 0; round < 50; ++round) {
+    for (const auto& probs : cases) {
+      const std::int64_t n = 10'000 + 37 * round;
+      std::vector<std::int64_t> counts(probs.size(), -1);
+      const std::int64_t rest =
+          multinomial_rest_into(into_gen, n, probs, counts);
+      const auto expected = multinomial_rest(ref_gen, n, probs);
+      ASSERT_EQ(expected.size(), probs.size() + 1);
+      for (std::size_t i = 0; i < probs.size(); ++i) {
+        EXPECT_EQ(counts[i], expected[i]) << "bin " << i;
+      }
+      EXPECT_EQ(rest, expected.back());
+      EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), rest), n);
+    }
+  }
+  EXPECT_EQ(into_gen(), ref_gen());
+}
+
+TEST(Hypergeometric, EdgeCases) {
+  Xoshiro256 gen(3);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(hypergeometric(gen, 0, 7, 20), 0);   // no draws
+    EXPECT_EQ(hypergeometric(gen, 9, 0, 20), 0);   // no successes
+    EXPECT_EQ(hypergeometric(gen, 20, 7, 20), 7);  // draws = population
+    EXPECT_EQ(hypergeometric(gen, 9, 20, 20), 9);  // successes = population
+    EXPECT_EQ(hypergeometric(gen, 0, 0, 0), 0);
+  }
+  // Zero picks draw nothing from the generator.
+  Xoshiro256 untouched(3);
+  Xoshiro256 probe(3);
+  (void)hypergeometric(probe, 0, 5, 10);
+  (void)hypergeometric(probe, 5, 0, 10);
+  EXPECT_EQ(probe(), untouched());
+}
+
+TEST(Hypergeometric, SymmetricInDrawsAndSuccesses) {
+  // The sampler takes min(draws, successes) picks, so swapping the two
+  // gives the same draw on the same stream, not merely the same law.
+  Xoshiro256 a(11);
+  Xoshiro256 b(11);
+  for (std::int64_t i = 0; i < 200; ++i) {
+    const std::int64_t draws = 1 + i % 17;
+    const std::int64_t successes = 1 + (i * 7) % 23;
+    EXPECT_EQ(hypergeometric(a, draws, successes, 40),
+              hypergeometric(b, successes, draws, 40))
+        << "draws=" << draws << " successes=" << successes;
+  }
+}
+
+double log_choose(std::int64_t n, std::int64_t r) {
+  return std::lgamma(static_cast<double>(n) + 1.0) -
+         std::lgamma(static_cast<double>(r) + 1.0) -
+         std::lgamma(static_cast<double>(n - r) + 1.0);
+}
+
+TEST(Hypergeometric, ChiSquareAgainstExactPmf) {
+  struct Case {
+    std::int64_t population, successes, draws;
+  };
+  // Draws below, equal to and above the success count (both pick paths).
+  const Case cases[] = {{20, 7, 5}, {50, 12, 30}, {300, 40, 40}, {1000, 600, 9}};
+  constexpr int kSamples = 40'000;
+  Xoshiro256 gen(20261020);
+  for (const Case& c : cases) {
+    SCOPED_TRACE("A=" + std::to_string(c.population) +
+                 " P=" + std::to_string(c.successes) +
+                 " L=" + std::to_string(c.draws));
+    const std::int64_t lo = std::max<std::int64_t>(
+        0, c.draws - (c.population - c.successes));
+    const std::int64_t hi = std::min(c.draws, c.successes);
+    std::vector<double> observed(static_cast<std::size_t>(hi + 1), 0.0);
+    for (int i = 0; i < kSamples; ++i) {
+      const std::int64_t x =
+          hypergeometric(gen, c.draws, c.successes, c.population);
+      ASSERT_GE(x, lo);
+      ASSERT_LE(x, hi);
+      observed[static_cast<std::size_t>(x)] += 1.0;
+    }
+    // Pool adjacent outcomes into cells of expected count >= 5.
+    double chi2 = 0.0;
+    int cells = 0;
+    double cell_expected = 0.0;
+    double cell_observed = 0.0;
+    for (std::int64_t x = lo; x <= hi; ++x) {
+      cell_expected +=
+          kSamples * std::exp(log_choose(c.successes, x) +
+                              log_choose(c.population - c.successes,
+                                         c.draws - x) -
+                              log_choose(c.population, c.draws));
+      cell_observed += observed[static_cast<std::size_t>(x)];
+      if (cell_expected >= 5.0 || x == hi) {
+        const double d = cell_observed - cell_expected;
+        chi2 += d * d / cell_expected;
+        ++cells;
+        cell_expected = 0.0;
+        cell_observed = 0.0;
+      }
+    }
+    ASSERT_GE(cells, 2);
+    // Wilson–Hilferty upper 1e-4 quantile of chi-square(df).
+    const double df = cells - 1;
+    const double z = 3.719;
+    const double h = 2.0 / (9.0 * df);
+    const double critical = df * std::pow(1.0 - h + z * std::sqrt(h), 3);
+    EXPECT_LT(chi2, critical) << "df=" << df;
+  }
+}
+
 TEST(PoissonBinomial, MatchesBinomialForEqualProbs) {
   const std::vector<double> p(10, 0.3);
   const auto pmf = poisson_binomial_pmf(p);
@@ -231,6 +351,22 @@ TEST(UniformChoiceMarginals, SumIsJoinProbability) {
   const double sum = std::accumulate(q.begin(), q.end(), 0.0);
   const double p_any = 1.0 - (0.8 * 0.3 * 0.6);
   EXPECT_NEAR(sum, p_any, 1e-12);
+}
+
+TEST(UniformChoiceMarginals, IntoMatchesAllocatingForm) {
+  // One workspace reused across task counts, as a kernel reuses its own.
+  ChoiceMarginalsWorkspace ws;
+  const std::vector<std::vector<double>> cases = {
+      {0.3, 0.0, 0.7, 0.25}, {0.5}, {0.9, 0.1, 0.4, 0.6, 0.2, 0.05}, {}};
+  for (const auto& p : cases) {
+    std::vector<double> q(p.size(), -1.0);
+    uniform_choice_marginals_into(p, q, ws);
+    const auto expected = uniform_choice_marginals(p);
+    ASSERT_EQ(expected.size(), q.size());
+    for (std::size_t j = 0; j < q.size(); ++j) {
+      EXPECT_EQ(q[j], expected[j]) << "task " << j;
+    }
+  }
 }
 
 TEST(UniformChoiceMarginals, MonteCarloAgreement) {
